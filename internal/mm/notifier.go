@@ -90,21 +90,24 @@ func (k *Kernel) UnregisterRangeNotifier(id int) {
 	delete(k.notifiers, id)
 }
 
-// notifyPageLocked fires every notifier watching (as, v).  Callers hold
-// k.mu and call this BEFORE the page's old frame can be freed or
-// reused, so a subscriber's TPT entry is non-present by the time the
-// frame could belong to someone else.
-func (k *Kernel) notifyPageLocked(as *AddressSpace, v pgtable.VPN, kind NotifyKind) {
+// notifyPageLocked fires every notifier watching (as, v) and reports
+// whether any did.  Callers hold k.mu and call this BEFORE the page's
+// old frame can be freed or reused, so a subscriber's TPT entry is
+// non-present by the time the frame could belong to someone else.
+func (k *Kernel) notifyPageLocked(as *AddressSpace, v pgtable.VPN, kind NotifyKind) bool {
 	if len(k.notifiers) == 0 {
-		return
+		return false
 	}
+	fired := false
 	for _, nt := range k.notifiers {
 		if nt.as != as || v < nt.start || v >= nt.start+pgtable.VPN(nt.npages) {
 			continue
 		}
 		k.stats.NotifierFires++
 		nt.fn(NotifyEvent{VPN: v, PageIndex: int(v - nt.start), Kind: kind})
+		fired = true
 	}
+	return fired
 }
 
 // ResolvePage faults the page containing addr present (as a write

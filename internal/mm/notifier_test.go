@@ -137,6 +137,72 @@ func TestNotifierSwapCachePaths(t *testing.T) {
 	}
 }
 
+// TestNotifierPrecedesSwapImage pins what a watching device may rely
+// on at swap-out: a write it makes to the frame before the notifier
+// returns (the last DMA an invalidation waits out) is in the swap image,
+// and a page it wrote behind the PTE is never dropped as clean.
+func TestNotifierPrecedesSwapImage(t *testing.T) {
+	marker := []byte("device write")
+	readBack := func(t *testing.T, k *Kernel, as *AddressSpace, addr pgtable.VAddr) {
+		t.Helper()
+		got := make([]byte, len(marker))
+		if err := k.CopyFromUser(as, addr, got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(marker) {
+			t.Fatalf("page reads %q after swap-in, want the device write %q", got, marker)
+		}
+	}
+	frame := func(t *testing.T, k *Kernel, as *AddressSpace, addr pgtable.VAddr) phys.Addr {
+		t.Helper()
+		pfn, err := k.ResidentPFN(as, addr)
+		if err != nil || pfn == phys.NoPFN {
+			t.Fatalf("page not resident: %v", err)
+		}
+		return pfn.Addr()
+	}
+
+	t.Run("write during notify", func(t *testing.T) {
+		k := notifierKernel()
+		as := k.CreateProcess("p", false)
+		addr := mmapRW(t, k, as, 1)
+		touchPages(t, k, as, addr, 1)
+		pa := frame(t, k, as, addr)
+		id := k.RegisterRangeNotifier(as, addr, 1, func(NotifyEvent) {
+			if err := k.Phys().WritePhys(pa, marker); err != nil {
+				t.Error(err)
+			}
+		})
+		defer k.UnregisterRangeNotifier(id)
+		if n := k.SwapOut(1); n != 1 {
+			t.Fatalf("eviction: %d", n)
+		}
+		readBack(t, k, as, addr)
+	})
+	t.Run("clean swap-cache page written by a device", func(t *testing.T) {
+		k := notifierKernel()
+		as := k.CreateProcess("p", false)
+		addr := mmapRW(t, k, as, 1)
+		touchPages(t, k, as, addr, 1)
+		id := k.RegisterRangeNotifier(as, addr, 1, func(NotifyEvent) {})
+		defer k.UnregisterRangeNotifier(id)
+		if n := k.SwapOut(1); n != 1 {
+			t.Fatalf("first eviction: %d", n)
+		}
+		// A read fault leaves the page clean with its swap-cache image.
+		if err := k.HandleFault(as, addr, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Phys().WritePhys(frame(t, k, as, addr), marker); err != nil {
+			t.Fatal(err)
+		}
+		if n := k.SwapOut(1); n != 1 {
+			t.Fatalf("re-eviction: %d", n)
+		}
+		readBack(t, k, as, addr)
+	})
+}
+
 // TestNotifierMunmapExactlyOnce: unmapping fires NotifyUnmap once per
 // resident page — and only for resident ones.
 func TestNotifierMunmapExactlyOnce(t *testing.T) {

@@ -169,16 +169,20 @@ func (k *Kernel) tryToSwapOutLocked(as *AddressSpace, v pgtable.VPN, e pgtable.P
 	// Swap-cache fast path: a frame whose image still sits in its slot
 	// needs no device write if it stayed clean since the swap-in.
 	if slot, cached := k.swapCache[pfn]; cached {
+		// Watching devices hear of the eviction before the dirty check
+		// and before any image is taken (see the notifier call below).  A
+		// device writes behind the PTE, without setting its dirty bit, so
+		// a watched page never counts as clean.
+		watched := k.notifyPageLocked(as, v, NotifySwapOut)
 		delete(k.swapCache, pfn)
 		_ = k.phys.ClearFlags(pfn, phys.PGSwapCache)
-		if e&pgtable.FlagDirty == 0 {
+		if e&pgtable.FlagDirty == 0 && !watched {
 			// Clean: the on-disk image is current; the cache's slot use
 			// transfers to the PTE.
 			if err := as.pt.Set(v, pgtable.MakeSwap(slot, e)); err != nil {
 				_, _ = k.swap.Free(slot)
 				return false
 			}
-			k.notifyPageLocked(as, v, NotifySwapOut)
 			_, _ = k.phys.Put(pfn)
 			k.stats.SwapOuts++
 			k.stats.SwapCacheHit++
@@ -199,7 +203,6 @@ func (k *Kernel) tryToSwapOutLocked(as *AddressSpace, v pgtable.VPN, e pgtable.P
 			_, _ = k.swap.Free(slot)
 			return false
 		}
-		k.notifyPageLocked(as, v, NotifySwapOut)
 		_, _ = k.phys.Put(pfn)
 		k.stats.SwapOuts++
 		return true
@@ -209,6 +212,11 @@ func (k *Kernel) tryToSwapOutLocked(as *AddressSpace, v pgtable.VPN, e pgtable.P
 	if err != nil {
 		return false // swap full: nothing this path can do
 	}
+	// Watching devices hear of the eviction before the frame's image is
+	// taken: a nopin subscriber drops its translation and waits out any
+	// DMA still using the frame, so no device write can land after the
+	// image and be lost with the frame.
+	k.notifyPageLocked(as, v, NotifySwapOut)
 	buf, err := k.phys.FrameBytes(pfn)
 	if err != nil {
 		_, _ = k.swap.Free(slot)
@@ -225,7 +233,6 @@ func (k *Kernel) tryToSwapOutLocked(as *AddressSpace, v pgtable.VPN, e pgtable.P
 		_, _ = k.swap.Free(slot)
 		return false
 	}
-	k.notifyPageLocked(as, v, NotifySwapOut)
 	_, _ = k.phys.Put(pfn)
 	k.stats.SwapOuts++
 	return true

@@ -367,6 +367,15 @@ type Endpoint struct {
 	inlineDesc *via.Descriptor
 	inlineTmp  []byte
 
+	// Chunked eager state: the chunk send descriptor, reused after each
+	// successful wait (nil while one is in flight or after a failure),
+	// and one slot of copy scratch per direction.  The Send and Recv
+	// paths each have a single owner, and the scratch is allocated on
+	// the first chunk that is not inline.
+	chunkDesc *via.Descriptor
+	sendTmp   []byte
+	recvTmp   []byte
+
 	// Batched-repost scratch: slot indices accumulated by recvInline and
 	// the descriptor slice handed to PostRecvBatch.  Reused so the
 	// receive path does not allocate per flush.
@@ -462,14 +471,19 @@ func (e *Endpoint) peerGrantCredit() {
 	e.peer.credits <- struct{}{}
 }
 
-// postSlot (re)posts the ring slot's receive descriptor.
+// postSlot (re)posts the ring slot's receive descriptor.  A slot whose
+// post failed is left empty (nil), like flushReposts leaves one.
 func (e *Endpoint) postSlot(slot int) error {
 	if old := e.ringDescs[slot]; old != nil && e.opts.Mux != nil {
 		e.opts.Mux.Forget(old)
 	}
 	d := via.NewDescriptor(via.OpRecv, e.ringReg.Seg(slot*e.slotSize, e.slotSize))
+	if err := e.vi.PostRecv(d); err != nil {
+		e.ringDescs[slot] = nil
+		return err
+	}
 	e.ringDescs[slot] = d
-	return e.vi.PostRecv(d)
+	return nil
 }
 
 // waitDesc waits for a descriptor's completion: through the shared
@@ -748,8 +762,10 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 	}
 	e.sendCtrl(ctrlMsg{kind: kInline, size: size, nchunks: nchunks, seq: seq})
 
+	if eager && e.sendTmp == nil {
+		e.sendTmp = make([]byte, e.slotSize)
+	}
 	sent := 0
-	tmp := make([]byte, e.slotSize)
 	for c := 0; c < nchunks; c++ {
 		n := size - sent
 		if n > e.slotSize {
@@ -759,10 +775,10 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 		var src via.Segment
 		if eager {
 			// Copy the chunk into the registered send bounce.
-			if err := b.Read(sent, tmp[:n]); err != nil {
+			if err := b.Read(sent, e.sendTmp[:n]); err != nil {
 				return sent, err
 			}
-			if err := e.sendBuf.Write(0, tmp[:n]); err != nil {
+			if err := e.sendBuf.Write(0, e.sendTmp[:n]); err != nil {
 				return sent, err
 			}
 			e.meter.ChargeN(e.meter.Costs.PageCopy, (n+phys.PageSize-1)/phys.PageSize)
@@ -770,16 +786,13 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 		} else {
 			src = reg.Seg(sent, n)
 		}
-		var d *via.Descriptor
+		d := e.takeChunkDesc(src)
 		if rdma {
 			// MPICH2 RDMA-write fast path: write the chunk straight
 			// into the peer's next ring slot; the receiver polls the
 			// slot flag instead of matching a receive descriptor.
 			slot := int(e.txIdx % uint64(e.ringSlots))
-			d = via.NewDescriptor(via.OpRDMAWrite, src)
 			d.Remote = via.RemoteSegment{Handle: e.peerRing, Offset: slot * e.slotSize}
-		} else {
-			d = via.NewDescriptor(via.OpSend, src)
 		}
 		if err := e.vi.PostSend(d); err != nil {
 			if rdma {
@@ -801,6 +814,8 @@ func (e *Endpoint) sendInline(b *proc.Buffer, eager bool, seq uint64) (int, erro
 			}
 			return sent, &chunkError{chunk: c, nchunks: nchunks, status: st}
 		}
+		// The completion is consumed: the descriptor may be reset.
+		e.chunkDesc = d
 		if rdma {
 			e.txIdx++
 			e.rdmaToken(n)
@@ -851,6 +866,25 @@ func (e *Endpoint) sendInlineDesc(b *proc.Buffer, seq uint64) (int, error) {
 	return size, nil
 }
 
+// takeChunkDesc returns a send descriptor for one chunk over src: the
+// endpoint's reusable one, re-armed, or a fresh one when the last chunk
+// failed.  The caller hands it back through e.chunkDesc only after a
+// successful wait, so every failure path allocates anew.
+func (e *Endpoint) takeChunkDesc(src via.Segment) *via.Descriptor {
+	d := e.chunkDesc
+	e.chunkDesc = nil
+	if d == nil {
+		op := via.OpSend
+		if e.opts.RDMAEager {
+			op = via.OpRDMAWrite
+		}
+		return via.NewDescriptor(op, src)
+	}
+	d.Reset()
+	d.Segs[0] = src
+	return d
+}
+
 // inlineSendDesc returns the endpoint's reusable inline send
 // descriptor, re-armed for the next post.
 func (e *Endpoint) inlineSendDesc() *via.Descriptor {
@@ -874,7 +908,6 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 		return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, m.size, b.Bytes)
 	}
 	got := 0
-	tmp := make([]byte, e.slotSize)
 	threshold := e.ringSlots / 2
 	if threshold < 1 {
 		threshold = 1
@@ -896,6 +929,9 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 			n = tok
 		} else {
 			d := e.ringDescs[slot]
+			if d == nil {
+				return got, fmt.Errorf("%w: ring slot %d not posted", ErrTransport, slot)
+			}
 			if st := e.waitDesc(d); st != via.StatusSuccess {
 				return got, fmt.Errorf("%w: ring slot %d failed: %v", ErrTransport, slot, st)
 			}
@@ -912,10 +948,13 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 			}
 			e.meter.ChargeN(e.meter.Costs.PIOPerByte, n)
 		} else {
-			if err := e.ringBuf.Read(slot*e.slotSize, tmp[:n]); err != nil {
+			if e.recvTmp == nil {
+				e.recvTmp = make([]byte, e.slotSize)
+			}
+			if err := e.ringBuf.Read(slot*e.slotSize, e.recvTmp[:n]); err != nil {
 				return got, err
 			}
-			if err := b.Write(got, tmp[:n]); err != nil {
+			if err := b.Write(got, e.recvTmp[:n]); err != nil {
 				return got, err
 			}
 			e.meter.ChargeN(e.meter.Costs.PageCopy, (n+phys.PageSize-1)/phys.PageSize)
@@ -928,7 +967,7 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 		}
 		e.repostSlots = append(e.repostSlots, slot)
 		if len(e.repostSlots) >= threshold {
-			if err := e.flushReposts(); err != nil {
+			if err := e.flushReposts(true); err != nil {
 				if isTransport(err) && got == m.size {
 					// Every chunk landed; only the repost hit the dying
 					// connection.  The message is complete — deliver it
@@ -945,7 +984,7 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 		}
 	}
 	if !e.opts.RDMAEager && len(e.repostSlots) > 0 {
-		if err := e.flushReposts(); err != nil && !(isTransport(err) && got == m.size) {
+		if err := e.flushReposts(true); err != nil && !(isTransport(err) && got == m.size) {
 			return got, err
 		}
 	}
@@ -956,30 +995,50 @@ func (e *Endpoint) recvInline(b *proc.Buffer, m ctrlMsg) (int, error) {
 
 // flushReposts reposts the accumulated ring slots with one batched
 // doorbell and grants the matching credits.  The pending list is
-// cleared whether or not the post succeeds (a failed batch is rebuilt
-// from scratch by the recovery handshake's repostRing).
-func (e *Endpoint) flushReposts() error {
+// cleared and the credits granted whether or not the post succeeds (a
+// failed batch is rebuilt from scratch by the recovery handshake's
+// repostRing).
+//
+// reuse resets each slot's own descriptor and reposts it.  Only
+// recvInline may ask for it: it has consumed every one of those
+// completions through waitDesc.  Recovery passes false, because a
+// flushed slot's descriptor may still be in flight; each slot then
+// gets a fresh descriptor and the old one is forgotten.
+func (e *Endpoint) flushReposts(reuse bool) error {
 	if len(e.repostSlots) == 0 {
 		return nil
 	}
 	e.repostDescs = e.repostDescs[:0]
 	for _, slot := range e.repostSlots {
-		if old := e.ringDescs[slot]; old != nil && e.opts.Mux != nil {
+		old := e.ringDescs[slot]
+		if old != nil && e.opts.Mux != nil {
 			e.opts.Mux.Forget(old)
 		}
-		d := via.NewDescriptor(via.OpRecv, e.ringReg.Seg(slot*e.slotSize, e.slotSize))
-		e.ringDescs[slot] = d
+		d := old
+		if reuse && d != nil {
+			d.Reset()
+		} else {
+			d = via.NewDescriptor(via.OpRecv, e.ringReg.Seg(slot*e.slotSize, e.slotSize))
+			e.ringDescs[slot] = d
+		}
 		e.repostDescs = append(e.repostDescs, d)
 	}
-	n := len(e.repostSlots)
-	e.repostSlots = e.repostSlots[:0]
-	if err := e.vi.PostRecvBatch(e.repostDescs); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
+	err := e.vi.PostRecvBatch(e.repostDescs)
+	for _, slot := range e.repostSlots {
+		if err != nil {
+			// Nothing was queued: a receive that reaches this slot must
+			// fail, not wait for a completion that cannot come.
+			e.ringDescs[slot] = nil
+		}
+		// The credit goes back even when the post fails.  A post fails
+		// only on a dead connection, and a sender left without credits
+		// would block before it could find that out.  With the credit,
+		// its next send fails loudly and starts the recovery that drains
+		// every credit and rebuilds both rings.
 		e.peerGrantCredit()
 	}
-	return nil
+	e.repostSlots = e.repostSlots[:0]
+	return err
 }
 
 // errRndvAborted is the internal signal that a pipelined rendezvous was

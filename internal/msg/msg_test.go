@@ -25,7 +25,7 @@ type cluster struct {
 	agentA, agentB   *kagent.Agent
 }
 
-func newCluster(t *testing.T, strategy core.Strategy, cacheRegions int, opts ...Options) *cluster {
+func newCluster(t testing.TB, strategy core.Strategy, cacheRegions int, opts ...Options) *cluster {
 	t.Helper()
 	meter := simtime.NewMeter()
 	cfg := mm.Config{RAMPages: 2048, SwapPages: 4096, ClockBatch: 128, SwapBatch: 32}

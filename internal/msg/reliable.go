@@ -355,7 +355,7 @@ func (e *Endpoint) repostRing() error {
 	for i := 0; i < e.ringSlots; i++ {
 		e.repostSlots = append(e.repostSlots, i)
 	}
-	return e.flushReposts()
+	return e.flushReposts(false)
 }
 
 // resetOwnVI brings this endpoint's VI to the idle state whatever state
@@ -476,6 +476,9 @@ func (e *Endpoint) drainDuplicate(m ctrlMsg) error {
 			continue
 		}
 		d := e.ringDescs[slot]
+		if d == nil {
+			return fmt.Errorf("%w: duplicate chunk %d: ring slot %d not posted", ErrTransport, c, slot)
+		}
 		if st := e.waitDesc(d); st != via.StatusSuccess {
 			return fmt.Errorf("%w: duplicate chunk %d: %v", ErrTransport, c, st)
 		}

@@ -109,6 +109,79 @@ func TestReliableDroppedCompletionResolvedByAck(t *testing.T) {
 	}
 }
 
+// TestDroppedCompletionWithFullRingRecovers: the sender runs a whole
+// ring ahead of the receiver, and the completion of the message that
+// fills the last slot is dropped.  The pair is now in the error state
+// with every slot already holding a message, so none of the receiver's
+// reposts can succeed.  The next message must still get through: its
+// sender needs a credit to find the dead connection, and its receiver
+// must not wait on a slot it never managed to repost.
+func TestDroppedCompletionWithFullRingRecovers(t *testing.T) {
+	c, inj := newReliableCluster(t, ReliabilityConfig{Seed: 9})
+	const size = 512 // one non-inline eager chunk per message
+	inj.FailNth("nic.completion", RingSlots, nil)
+	src, err := c.procA.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := c.procB.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i <= RingSlots; i++ {
+			if err := src.FillPattern(byte(40 + i)); err != nil {
+				sent <- err
+				return
+			}
+			if _, err := c.epA.Send(src, Eager); err != nil {
+				sent <- fmt.Errorf("send %d: %w", i, err)
+				return
+			}
+		}
+		sent <- nil
+	}()
+	// Start receiving only once the ring is full and the drop has hit.
+	for inj.Stats().Injected["nic.completion"] == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	received := make(chan error, 1)
+	go func() {
+		for i := 0; i <= RingSlots; i++ {
+			if _, err := c.epB.Recv(dst); err != nil {
+				received <- fmt.Errorf("recv %d: %w", i, err)
+				return
+			}
+			bad, err := dst.VerifyPattern(byte(40 + i))
+			if err == nil && len(bad) > 0 {
+				err = fmt.Errorf("recv %d: corrupted pages %v", i, bad)
+			}
+			if err != nil {
+				received <- err
+				return
+			}
+		}
+		received <- nil
+	}()
+	deadline := time.After(10 * time.Second)
+	for _, ch := range []chan error{sent, received} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("deadlocked after the dropped completion")
+		}
+	}
+	rs := c.epA.ReliabilityStats()
+	if rs.AckRescues != 1 || rs.Recoveries != 1 {
+		t.Fatalf("sender rel stats = %+v, want one ack rescue and one recovery", rs)
+	}
+}
+
 func TestReliableDroppedCompletionDeduplicates(t *testing.T) {
 	// AckTimeout < 0 disables the delivery-ack shortcut, forcing the
 	// historical path: the sender assumes failure and retransmits, and

@@ -154,6 +154,14 @@ func (e *Endpoint) recvRemap(b *proc.Buffer, m ctrlMsg) (int, error) {
 		// slips through anyway.
 		return nak()
 	}
+	// Adopting frames changes the pages behind the destination, so this
+	// side's idle cached registrations of them must go first: the next
+	// zero-copy receive would otherwise hit them and DMA into the old
+	// frames.  A registration still in use cannot be dropped; decline,
+	// and the one-copy fallback delivers.
+	if _, err := e.cache.InvalidateRange(b.Addr, m.size); err != nil {
+		return nak()
+	}
 	nstage := nfull
 	if tail > 0 {
 		nstage++

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/kagent"
 	"repro/internal/mm"
 	"repro/internal/phys"
+	"repro/internal/proc"
+	"repro/internal/regcache"
 	"repro/internal/via"
 )
 
@@ -477,4 +480,99 @@ func runScenario(t *testing.T, p Protocol, size int, seed byte, writer, swapPres
 		wclass = "write-allowed"
 	}
 	return fmt.Sprintf("n=%d badpages=%d writer=%s", n, len(bad), wclass)
+}
+
+// sendInto moves src into dst with protocol p and checks every byte of
+// the delivery, after first overwriting dst so stale content shows.
+func (c *cluster) sendInto(t *testing.T, src, dst *proc.Buffer, p Protocol, seed byte) {
+	t.Helper()
+	if err := src.FillPattern(seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.FillPattern(seed + 100); err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.epA.Send(src, p)
+		errc <- err
+	}()
+	if n, err := c.epB.Recv(dst); err != nil || n != src.Bytes {
+		t.Fatalf("%s recv: n=%d err=%v", p, n, err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("%s send: %v", p, err)
+	}
+	want, got := make([]byte, src.Bytes), make([]byte, src.Bytes)
+	if err := src.Read(0, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Read(0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s delivery differs from the source", p)
+	}
+}
+
+// TestRemapAfterZeroCopyStaysCoherent is the stale-TPT regression: a
+// zero-copy receive leaves the destination's chunk registrations idle
+// in the receiver's cache, a remap receive then swaps new frames under
+// that buffer, and the next zero-copy receive into it must land in the
+// new frames, not the old ones the cached TPT entries named.
+func TestRemapAfterZeroCopyStaysCoherent(t *testing.T) {
+	c := newCluster(t, core.StrategyKiobuf, 0)
+	const size = 4 * DefaultPipelineChunk
+	src, err := c.procA.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := c.procB.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.sendInto(t, src, dst, ZeroCopy, 1)
+	cached := c.epB.Cache().Len()
+	if cached == 0 {
+		t.Fatal("zero-copy receive left nothing cached")
+	}
+	c.sendInto(t, src, dst, Remap, 2)
+	if got := c.epB.Stats().RemapPages; got != size/phys.PageSize {
+		t.Fatalf("remap exchanged %d pages, want %d", got, size/phys.PageSize)
+	}
+	if got := c.epB.Cache().Len(); got != 0 {
+		t.Fatalf("remap left %d of %d cached registrations of the destination", got, cached)
+	}
+	c.sendInto(t, src, dst, ZeroCopy, 3)
+}
+
+// TestRemapDeclinedWhileDestinationRegistered: a cached registration of
+// the destination that is still in use cannot be dropped, so the
+// receiver declines the frame exchange and the one-copy fallback
+// delivers into the registered frames.
+func TestRemapDeclinedWhileDestinationRegistered(t *testing.T) {
+	c := newCluster(t, core.StrategyKiobuf, 0)
+	const size = 8 * phys.PageSize
+	src, err := c.procA.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := c.procB.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := c.epB.Cache().Acquire(dst, phys.PageSize, phys.PageSize, via.MemAttrs{EnableRDMAWrite: true}, regcache.ClassUser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.sendInto(t, src, dst, Remap, 4)
+	if s := c.epA.Stats(); s.RemapFallbacks != 1 || s.RemapSends != 0 {
+		t.Fatalf("sender stats: %+v", s)
+	}
+	if n := c.kernelB.Stats().FrameDonations; n != 0 {
+		t.Fatalf("declined remap donated %d frames", n)
+	}
+	if err := c.epB.Cache().Release(reg); err != nil {
+		t.Fatal(err)
+	}
 }

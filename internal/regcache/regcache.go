@@ -284,7 +284,7 @@ func (c *Cache) Acquire(b *proc.Buffer, off, length int, attrs via.MemAttrs, cla
 		victims := c.collectOverCapLocked()
 		close(ready)
 		c.mu.Unlock()
-		c.deregisterEvicted(victims)
+		_ = c.deregisterEvicted(victims)
 		return region, nil
 	}
 }
@@ -311,7 +311,7 @@ func (c *Cache) Release(r *vipl.MemRegion) error {
 		victims = c.collectOverCapLocked()
 	}
 	c.mu.Unlock()
-	c.deregisterEvicted(victims)
+	_ = c.deregisterEvicted(victims)
 	return nil
 }
 
@@ -329,19 +329,45 @@ func (c *Cache) Flush() (int, error) {
 	if obs := c.obs.Load(); obs != nil {
 		obs.event(trace.KindCacheFlush, 0, len(victims))
 	}
+	return len(victims), c.deregisterEvicted(victims)
+}
 
-	var firstErr error
-	for _, v := range victims {
-		if err := c.nic.DeregisterMem(v.region); err != nil {
-			c.mu.Lock()
-			c.stats.EvictErrors++
+// InvalidateRange drops the idle cached regions that overlap
+// [addr, addr+length) and reports how many it dropped.  Call it before
+// the frames behind the range change (a remap receive adopting donated
+// frames), or the next Acquire would hand out a registration whose TPT
+// entries still name the old frames.  If an overlapping region is in use
+// or still being registered, nothing is dropped and the error wraps
+// ErrBusy.  Regions outside the range are left alone, and an
+// invalidation that finds nothing deregisters nothing, so it charges no
+// sim time.
+func (c *Cache) InvalidateRange(addr pgtable.VAddr, length int) (int, error) {
+	overlaps := func(k key) bool {
+		return k.addr < addr+pgtable.VAddr(length) && addr < k.addr+pgtable.VAddr(k.length)
+	}
+	c.mu.Lock()
+	for k, e := range c.entries {
+		if overlaps(k) && (e.refs > 0 || e.ready != nil) {
 			c.mu.Unlock()
-			if firstErr == nil {
-				firstErr = err
-			}
+			return 0, fmt.Errorf("%w: region at %#x overlaps the invalidated range", ErrBusy, uint64(k.addr))
 		}
 	}
-	return len(victims), firstErr
+	// Every overlapping entry is idle, so on an LRU list; walking the
+	// lists keeps the deregistration order deterministic.
+	var victims []*entry
+	for _, l := range c.lru {
+		for el := l.Front(); el != nil; {
+			e, next := el.Value.(*entry), el.Next()
+			if overlaps(e.key) {
+				l.Remove(el)
+				c.unlinkLocked(e)
+				victims = append(victims, e)
+			}
+			el = next
+		}
+	}
+	c.mu.Unlock()
+	return len(victims), c.deregisterEvicted(victims)
 }
 
 // EnableNICResetInvalidation subscribes the cache to the NIC's
@@ -430,6 +456,13 @@ func (c *Cache) collectOverCapLocked() []*entry {
 // outside the lock.
 func (c *Cache) unlinkVictimLocked(idx int) *entry {
 	e := c.lru[idx].Remove(c.lru[idx].Front()).(*entry)
+	c.unlinkLocked(e)
+	return e
+}
+
+// unlinkLocked removes an idle entry, already off its LRU list, from
+// the indices and counts the eviction.
+func (c *Cache) unlinkLocked(e *entry) {
 	e.lruElem = nil
 	delete(c.entries, e.key)
 	delete(c.regions, e.region)
@@ -437,19 +470,20 @@ func (c *Cache) unlinkVictimLocked(idx int) *entry {
 	if obs := c.obs.Load(); obs != nil {
 		obs.event(trace.KindCacheEvict, uint64(e.key.addr), e.key.length)
 	}
-	return e
 }
 
 // deregisterEvicted drops evicted regions on the NIC, counting failures
-// in Stats.EvictErrors.  Runs outside the cache lock.
-func (c *Cache) deregisterEvicted(victims []*entry) {
-	if len(victims) == 0 {
-		return
-	}
+// in Stats.EvictErrors, and returns the first failure.  Runs outside
+// the cache lock.
+func (c *Cache) deregisterEvicted(victims []*entry) error {
 	var failed uint64
+	var firstErr error
 	for _, v := range victims {
 		if err := c.nic.DeregisterMem(v.region); err != nil {
 			failed++
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	if failed > 0 {
@@ -457,4 +491,5 @@ func (c *Cache) deregisterEvicted(victims []*entry) {
 		c.stats.EvictErrors += failed
 		c.mu.Unlock()
 	}
+	return firstErr
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kagent"
 	"repro/internal/mm"
+	"repro/internal/pgtable"
 	"repro/internal/phys"
 	"repro/internal/proc"
 	"repro/internal/simtime"
@@ -15,9 +16,10 @@ import (
 )
 
 type rig struct {
-	k   *mm.Kernel
-	p   *proc.Process
-	nic *vipl.Nic
+	meter *simtime.Meter
+	k     *mm.Kernel
+	p     *proc.Process
+	nic   *vipl.Nic
 }
 
 // newRig builds a node whose NIC has room for tptSlots pages.
@@ -28,7 +30,7 @@ func newRig(t *testing.T, tptSlots int) *rig {
 	n := via.NewNIC("node", k.Phys(), meter, tptSlots)
 	agent := kagent.New(k, n, core.MustNew(core.StrategyKiobuf))
 	p := proc.New(k, "app", false)
-	return &rig{k: k, p: p, nic: vipl.OpenNic(agent, p)}
+	return &rig{meter: meter, k: k, p: p, nic: vipl.OpenNic(agent, p)}
 }
 
 func (r *rig) buf(t *testing.T, pages int) *proc.Buffer {
@@ -256,6 +258,73 @@ func TestFlush(t *testing.T) {
 		t.Fatalf("len = %d", c.Len())
 	}
 	_ = c.Release(held)
+}
+
+// TestInvalidateRange drops exactly the idle regions that overlap the
+// range, refuses while an overlapping region is in use, and charges
+// nothing when no region overlaps.
+func TestInvalidateRange(t *testing.T) {
+	r := newRig(t, 64)
+	c := New(r.nic, 0)
+	a, b := r.buf(t, 2), r.buf(t, 2)
+	acquire := func(buf *proc.Buffer, off, n int) *vipl.MemRegion {
+		t.Helper()
+		reg, err := c.Acquire(buf, off, n, via.MemAttrs{}, ClassUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	for _, reg := range []*vipl.MemRegion{
+		acquire(a, 0, a.Bytes),
+		acquire(a, phys.PageSize, phys.PageSize),
+		acquire(b, 0, b.Bytes),
+	} {
+		if err := c.Release(reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// a's first page: only the whole-buffer region overlaps it.
+	if n, err := c.InvalidateRange(a.Addr, phys.PageSize); err != nil || n != 1 {
+		t.Fatalf("first page: dropped %d, err %v; want 1", n, err)
+	}
+	if got := c.Len(); got != 2 {
+		t.Fatalf("%d regions left, want 2", got)
+	}
+
+	// Nothing overlaps any more: nothing is dropped or charged.
+	before := r.meter.Now()
+	if n, err := c.InvalidateRange(a.Addr, phys.PageSize); err != nil || n != 0 {
+		t.Fatalf("empty invalidation: dropped %d, err %v", n, err)
+	}
+	if d := r.meter.Now() - before; d != 0 {
+		t.Fatalf("empty invalidation charged %v", d)
+	}
+
+	// An in-use overlapping region blocks the whole invalidation, idle
+	// overlaps included.
+	held := acquire(b, 0, b.Bytes)
+	lo, hi := min(a.Addr, b.Addr), max(a.Addr+pgtable.VAddr(a.Bytes), b.Addr+pgtable.VAddr(b.Bytes))
+	if _, err := c.InvalidateRange(lo, int(hi-lo)); !errors.Is(err, ErrBusy) {
+		t.Fatalf("in-use overlap: err %v, want ErrBusy", err)
+	}
+	if got := c.Len(); got != 2 {
+		t.Fatalf("refused invalidation dropped regions: %d left", got)
+	}
+	if err := c.Release(held); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.InvalidateRange(b.Addr, b.Bytes); err != nil || n != 1 {
+		t.Fatalf("b: dropped %d, err %v; want 1", n, err)
+	}
+	// a's second-page region survived everything aimed elsewhere.
+	if n, err := c.InvalidateRange(a.Addr+phys.PageSize, phys.PageSize); err != nil || n != 1 {
+		t.Fatalf("a's second page: dropped %d, err %v; want 1", n, err)
+	}
+	if got := c.Len(); got != 0 {
+		t.Fatalf("%d regions left, want 0", got)
+	}
 }
 
 func TestReleaseErrors(t *testing.T) {

@@ -25,15 +25,26 @@ import (
 //     other VIs' completions along the way), so synchronous-mode
 //     completions never wait on the poller's schedule.
 //
-// Descriptor.Done is the correctness backstop throughout: even if a
-// completion entry was lost to CQ overflow, WaitDesc returns the final
-// status after a short grace wait and counts the bypass.
+// The descriptor's own completion is the correctness backstop
+// throughout: even if a completion entry was lost to CQ overflow,
+// WaitDesc returns the final status after a short grace wait and counts
+// the bypass.
+//
+// A waiter sleeps on one pooled wake channel that two parties may
+// signal: the router, once it has removed the waiter, and the
+// descriptor's completion, through the wake slot the waiter arms.  A
+// channel returns to the free list only under mu, after its descriptor
+// has left waiters and the wake slot has been disarmed and the channel
+// drained, so no late signal can reach its next owner.  Steady-state
+// waits allocate nothing.
 type CQMux struct {
 	cq *CQ
 
 	mu      sync.Mutex
-	waiters map[*Descriptor]chan Completion
+	waiters map[*Descriptor]chan struct{}
 	pending map[*Descriptor]Completion
+	// wakes is the free list of waiter wake channels (capacity 1).
+	wakes []chan struct{}
 	// fifo orders pending entries for eviction when the map is full
 	// (duplicate completions under faults, or waiters that bypassed).
 	fifo []*Descriptor
@@ -87,15 +98,20 @@ const (
 // NewCQMux creates a shared completion queue of the given depth and
 // starts its poller.  Close stops the poller and closes the queue.
 func NewCQMux(depth int) *CQMux {
-	m := &CQMux{
+	m := newCQMux(depth)
+	go m.poll()
+	return m
+}
+
+// newCQMux builds a mux without starting its poller.
+func newCQMux(depth int) *CQMux {
+	return &CQMux{
 		cq:      NewCQ(depth),
-		waiters: make(map[*Descriptor]chan Completion),
+		waiters: make(map[*Descriptor]chan struct{}),
 		pending: make(map[*Descriptor]Completion),
 		vis:     make(map[uint64]struct{}),
 		done:    make(chan struct{}),
 	}
-	go m.poll()
-	return m
 }
 
 // CQ exposes the shared queue so VIs can be created against it
@@ -169,7 +185,12 @@ func (m *CQMux) routeLocked(c Completion) {
 	}
 	if ch, ok := m.waiters[c.Desc]; ok {
 		delete(m.waiters, c.Desc)
-		ch <- c // capacity 1, sole sender after waiter removal
+		// The completion may already have signalled the channel; one
+		// token is enough, since the waiter rechecks its registration.
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
 		m.delivered.Add(1)
 		return
 	}
@@ -211,43 +232,92 @@ func (m *CQMux) routeLocked(c Completion) {
 // WaitDesc blocks until the descriptor completes and its completion has
 // been consumed from the shared CQ (or provably lost), then returns the
 // final status.  It is the mux-mode replacement for Descriptor.Wait.
+// It never returns while d is still pending.
 func (m *CQMux) WaitDesc(d *Descriptor) Status {
 	m.mu.Lock()
 	if _, ok := m.pending[d]; ok {
 		delete(m.pending, d)
+		if d.isComplete() {
+			m.mu.Unlock()
+			return d.Status
+		}
+		// A stale entry from an earlier use of a reset descriptor whose
+		// wait gave up on it (see the grace wait below); drop it.
+	}
+	ch := m.takeWakeLocked()
+	m.waiters[d] = ch
+	m.mu.Unlock()
+	defer m.releaseWake(d, ch)
+
+	if !d.armWake(ch) {
+		<-ch
+	}
+	for {
+		m.mu.Lock()
+		routed := m.waiters[d] != ch // by the router, or dropped by Forget
+		if !d.isComplete() {
+			// The router handed over a stale entry of an earlier use:
+			// keep waiting for this use's completion.
+			m.waiters[d] = ch
+			m.mu.Unlock()
+			<-ch
+			continue
+		}
+		m.mu.Unlock()
+		if routed {
+			return d.Status
+		}
+		// The descriptor is done but its completion hasn't been routed
+		// to us yet.  Drain the CQ ourselves rather than waiting on the
+		// poller's schedule — this is the poll-mode fast path and it
+		// keeps synchronous (engine-less) configurations latency-neutral.
+		if m.pumpFor(d) {
+			return d.Status
+		}
+		// The poller beat us to every CQ entry; either our completion is
+		// on its way to ch, or it was dropped by CQ overflow.
+		select {
+		case <-ch:
+			continue
+		case <-time.After(muxLostWait):
+		}
+		m.mu.Lock()
+		if m.waiters[d] == ch {
+			delete(m.waiters, d)
+			m.bypassed.Add(1)
+		}
 		m.mu.Unlock()
 		return d.Status
 	}
-	ch := make(chan Completion, 1)
-	m.waiters[d] = ch
-	m.mu.Unlock()
+}
 
-	select {
-	case <-ch:
-		return d.Status
-	case <-d.Done():
+// takeWakeLocked pops a wake channel off the free list, or makes one.
+func (m *CQMux) takeWakeLocked() chan struct{} {
+	if n := len(m.wakes); n > 0 {
+		ch := m.wakes[n-1]
+		m.wakes[n-1] = nil
+		m.wakes = m.wakes[:n-1]
+		return ch
 	}
-	// The descriptor is done but its completion hasn't been routed to
-	// us yet.  Drain the CQ ourselves rather than waiting on the
-	// poller's schedule — this is the poll-mode fast path and it keeps
-	// synchronous (engine-less) configurations latency-neutral.
-	if m.pumpFor(d) {
-		return d.Status
-	}
-	// The poller beat us to every CQ entry; either our completion is in
-	// flight to ch, or it was dropped by CQ overflow.
-	select {
-	case <-ch:
-		return d.Status
-	case <-time.After(muxLostWait):
-	}
+	return make(chan struct{}, 1)
+}
+
+// releaseWake recycles a waiter's wake channel.  The order is the
+// recycling rule: disarm the wake slot (no completion can signal it any
+// more), then under mu drop the waiter (no router can), drain a leftover
+// token and push the channel on the free list.
+func (m *CQMux) releaseWake(d *Descriptor, ch chan struct{}) {
+	d.disarmWake()
 	m.mu.Lock()
-	if _, still := m.waiters[d]; still {
+	if m.waiters[d] == ch {
 		delete(m.waiters, d)
-		m.bypassed.Add(1)
 	}
+	select {
+	case <-ch:
+	default:
+	}
+	m.wakes = append(m.wakes, ch)
 	m.mu.Unlock()
-	return d.Status
 }
 
 // pumpFor drains CQ entries, routing others' completions normally,
@@ -302,8 +372,7 @@ func (m *CQMux) Stats() CQMuxStats {
 }
 
 // Close shuts the shared CQ and waits for the poller to exit.  Blocked
-// WaitDesc callers still return through their descriptors' done
-// channels.
+// WaitDesc callers still return through their descriptors' wake slots.
 func (m *CQMux) Close() {
 	m.cq.Close()
 	<-m.done

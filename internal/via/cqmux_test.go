@@ -187,7 +187,7 @@ func TestCQMuxCloseUnblocksViaDescriptor(t *testing.T) {
 	r := newMuxRig(t, 1)
 	sd := r.sendOn(t, 0)
 	// Even after Close, WaitDesc resolves through the descriptor's own
-	// done channel.
+	// wake slot.
 	r.mux.Close()
 	if st := r.mux.WaitDesc(sd); st != StatusSuccess {
 		t.Fatalf("status %v", st)

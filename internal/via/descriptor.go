@@ -184,10 +184,14 @@ type Descriptor struct {
 	// mu guards the completion state so a Reset cannot tear the tail of
 	// a concurrent complete.  done is created lazily by Done/Wait: the
 	// synchronous fast path (poll Status after PostSend returns) never
-	// allocates a channel, so a reused descriptor costs nothing.
+	// allocates a channel, so a reused descriptor costs nothing.  wake
+	// is the wake slot a CQMux waiter arms with its pooled channel:
+	// complete signals it without blocking, so a mux wait needs no
+	// per-use done channel (DESIGN.md §"CQMux wake channels").
 	mu        sync.Mutex
 	completed bool
 	done      chan struct{}
+	wake      chan struct{}
 
 	// span and postSim are observability state stamped at post time
 	// when an observer is attached to the NIC (zero otherwise): the
@@ -269,8 +273,43 @@ func (d *Descriptor) complete(st Status, transferred int) bool {
 	if d.done != nil {
 		close(d.done)
 	}
+	if d.wake != nil {
+		select {
+		case d.wake <- struct{}{}:
+		default:
+		}
+	}
 	d.mu.Unlock()
 	return true
+}
+
+// armWake installs ch in the wake slot so complete signals it.  It
+// installs nothing and reports true when the descriptor has already
+// completed.
+func (d *Descriptor) armWake(ch chan struct{}) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.completed {
+		return true
+	}
+	d.wake = ch
+	return false
+}
+
+// disarmWake empties the wake slot: once it returns, complete can no
+// longer signal the channel that was armed.
+func (d *Descriptor) disarmWake() {
+	d.mu.Lock()
+	d.wake = nil
+	d.mu.Unlock()
+}
+
+// isComplete reports whether the descriptor has completed.  Reading it
+// under the lock orders the caller after complete's stores.
+func (d *Descriptor) isComplete() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.completed
 }
 
 // Done returns a channel closed when the descriptor completes.

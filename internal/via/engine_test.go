@@ -1,7 +1,6 @@
 package via
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -105,20 +104,25 @@ func TestEngineDoubleStartStop(t *testing.T) {
 }
 
 // TestDisconnectDuringEngineSends disconnects a VI while its engine
-// lanes are saturated with queued sends.  The guarantee under test: no
+// lane holds a backlog of queued sends.  The guarantee under test: no
 // descriptor is ever lost.  Every posted send reaches a terminal
 // status — success if it beat the disconnect, cancelled if the lane
 // dequeued it afterwards — and every posted receive is either matched
 // or flushed with StatusCancelled.
+//
+// A stall rule holds the lane inside its first dequeue, so the backlog
+// exists when the disconnect lands whatever the scheduling: the whole
+// run is deterministic.
 func TestDisconnectDuringEngineSends(t *testing.T) {
 	leakcheck.Check(t)
 	r := newRig(t)
 	r.nicA.StartEngineLanes(2)
 	defer r.nicA.StopEngine()
-	// Stall every lane dequeue so a backlog is guaranteed to exist when
-	// the disconnect lands mid-stream.
+	// The hold only has to outlast the posts and the disconnect below,
+	// which take microseconds.
+	const hold = 250 * time.Millisecond
 	inj := faultinject.New(31)
-	inj.StallProb("engine.lane", 1, 100*time.Microsecond)
+	inj.Arm(&faultinject.Rule{Site: SiteLane, Nth: 1, Delay: hold})
 	r.nicA.SetFaultInjector(inj)
 	defer r.nicA.SetFaultInjector(nil)
 
@@ -133,34 +137,30 @@ func TestDisconnectDuringEngineSends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	posted := make(chan []*Descriptor, 1)
-	postErr := make(chan error, 1)
-	go func() {
-		var out []*Descriptor
-		for i := 0; i < posts; i++ {
-			sd := NewDescriptor(OpSend, Segment{Handle: hA, Offset: 0, Length: 8})
-			if err := r.viA.PostSend(sd); err != nil {
-				// The disconnect landed between posts: refusal is the
-				// documented behaviour, anything else is a bug.
-				if !errors.Is(err, ErrNotConnected) && !errors.Is(err, ErrVIErrorState) {
-					postErr <- err
-				}
-				break
-			}
-			out = append(out, sd)
+	post := func() *Descriptor {
+		sd := NewDescriptor(OpSend, Segment{Handle: hA, Offset: 0, Length: 8})
+		if err := r.viA.PostSend(sd); err != nil {
+			t.Fatal(err)
 		}
-		close(postErr)
-		posted <- out
-	}()
-
-	time.Sleep(500 * time.Microsecond)
-	if err := r.net.Disconnect(r.viA); err != nil && !errors.Is(err, ErrVIErrorState) {
+		return sd
+	}
+	// The first send enters the lane and stalls there; wait until it
+	// has, then queue the rest behind it.  The stall starts after
+	// start, so it is still on while less than hold has passed.
+	start := time.Now()
+	sds := []*Descriptor{post()}
+	for inj.Stats().Injected[SiteLane] == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	for len(sds) < posts {
+		sds = append(sds, post())
+	}
+	if err := r.net.Disconnect(r.viA); err != nil {
 		t.Fatal(err)
 	}
-	if err, ok := <-postErr; ok && err != nil {
-		t.Fatalf("post: %v", err)
+	if time.Since(start) >= hold {
+		t.Fatalf("posting and disconnecting outlasted the %v lane hold", hold)
 	}
-	sds := <-posted
 
 	counts := make(map[Status]int)
 	for i, sd := range sds {

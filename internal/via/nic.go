@@ -128,6 +128,14 @@ type NIC struct {
 	ioFaultHandler atomic.Pointer[IOFaultHandler]
 	ioFaultPolicy  atomic.Uint32
 
+	// dmaMu orders DMA copies against nopin invalidations.  A
+	// fault-and-retry copy holds it shared from translation to its last
+	// byte; InvalidateTPTPage takes it exclusively, so an invalidation
+	// returns only once no copy still uses the frame it unmaps.  This is
+	// the wait an MMU-notifier invalidation makes for in-flight device
+	// access before the kernel may write the page out or free it.
+	dmaMu sync.RWMutex
+
 	mu         sync.Mutex
 	vis        map[int]*VI
 	nextVI     int
@@ -278,13 +286,17 @@ func (n *NIC) IOFaultPolicyInEffect() IOFaultPolicy {
 // InvalidateTPTPage is the MMU-notifier downcall: the kernel is about to
 // evict (swap/unmap/COW-break) a page inside a nopin region, so its TPT
 // entry goes non-present.  Reports whether a present entry was cleared.
-// Safe to call concurrently with the data path — the edit is a
-// copy-on-write snapshot publish, and an in-flight translation that
-// loaded the prior snapshot completes against the old frame, the same
-// window a real NIC has between the invalidate MMIO and the DMA engine
-// draining.
+// Safe to call concurrently with the data path: the edit is a
+// copy-on-write snapshot publish, and it returns only after every
+// fault-and-retry copy that loaded the prior snapshot has finished with
+// the old frame (dmaMu), the way a real NIC drains its DMA engine
+// before acknowledging the invalidate.  The speculative policy does not
+// wait; it validates after the copy instead (tptCopySpec).
 func (n *NIC) InvalidateTPTPage(h MemHandle, page int) bool {
-	if !n.tpt.invalidatePage(h, page) {
+	n.dmaMu.Lock()
+	ok := n.tpt.invalidatePage(h, page)
+	n.dmaMu.Unlock()
+	if !ok {
 		return false
 	}
 	n.meter.Charge(n.meter.Costs.TPTUpdate)
@@ -517,6 +529,8 @@ func (n *NIC) tptCopyFaulting(h MemHandle, off int, buf []byte, tag ProtectionTa
 // tptCopyOnce is a single translate-and-copy pass (the pre-nopin
 // tptCopy body).
 func (n *NIC) tptCopyOnce(h MemHandle, off int, buf []byte, tag ProtectionTag, write bool, needAttr func(MemAttrs) bool) error {
+	n.dmaMu.RLock()
+	defer n.dmaMu.RUnlock()
 	ep := extentPool.Get().(*[]extent)
 	exts, err := n.tpt.translateRange(h, off, len(buf), tag, needAttr, (*ep)[:0])
 	if err != nil {
@@ -725,13 +739,14 @@ func isInjected(err error) bool { return errors.Is(err, faultinject.ErrInjected)
 // error: injected faults and unrecovered IO page faults.
 func isDataFault(err error) bool { return isInjected(err) || errors.Is(err, ErrIOPageFault) }
 
-// faultSend is the descriptor half of a data-path fault: the faulted
-// send completes with its typed status and the VI (plus peer) enters
-// the error state.
+// faultSend is the descriptor half of a data-path fault: the VI (plus
+// peer) enters the error state, then the faulted send completes with its
+// typed status.  The error state comes first so a waiter that sees the
+// status can always read the cause.
 func (n *NIC) faultSend(v *VI, d *Descriptor, cause error) {
 	n.ctr.faults.Add(1)
-	v.completeSend(d, statusForFault(cause), 0)
 	v.enterError(cause)
+	v.completeSend(d, statusForFault(cause), 0)
 }
 
 // linkCheck validates the wire between two NICs: fabric partitions
@@ -836,15 +851,15 @@ func (n *NIC) processSend(v, peer *VI, d *Descriptor) {
 		// A send with no posted receive breaks a reliable connection.
 		peer.nic.ctr.recvUnderflows.Add(1)
 		n.ctr.faults.Add(1)
-		v.completeSend(d, StatusConnectionError, 0)
 		v.enterError(ErrRecvUnderflow)
+		v.completeSend(d, StatusConnectionError, 0)
 		return
 	}
 	if len(payload) > rd.TotalLength() {
 		n.ctr.faults.Add(1)
 		peer.completeRecv(rd, StatusLengthError, 0)
-		v.completeSend(d, StatusLengthError, 0)
 		v.enterError(ErrLengthMismatch)
+		v.completeSend(d, StatusLengthError, 0)
 		return
 	}
 	pn := peer.nic
@@ -908,8 +923,8 @@ func (n *NIC) processSendInline(v, peer *VI, d *Descriptor) {
 	if rd == nil {
 		peer.nic.ctr.recvUnderflows.Add(1)
 		n.ctr.faults.Add(1)
-		v.completeSend(d, StatusConnectionError, 0)
 		v.enterError(ErrRecvUnderflow)
+		v.completeSend(d, StatusConnectionError, 0)
 		return
 	}
 	// The posted receive must be able to hold the message: its buffer
@@ -921,8 +936,8 @@ func (n *NIC) processSendInline(v, peer *VI, d *Descriptor) {
 	if len(payload) > limit {
 		n.ctr.faults.Add(1)
 		peer.completeRecv(rd, StatusLengthError, 0)
-		v.completeSend(d, StatusLengthError, 0)
 		v.enterError(ErrLengthMismatch)
+		v.completeSend(d, StatusLengthError, 0)
 		return
 	}
 	rd.setInlineRecv(payload)

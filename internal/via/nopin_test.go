@@ -6,8 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/phys"
+	"repro/internal/simtime"
 )
 
 // allocFrame grabs one frame and returns its physical address.
@@ -348,5 +351,42 @@ func TestTPTConcurrentChurnRace(t *testing.T) {
 	}
 	if got := tb.regionCount(); got != 0 {
 		t.Fatalf("%d regions left registered", got)
+	}
+}
+
+// TestInvalidateWaitsForInFlightDMA: an invalidation returns only once a
+// fault-and-retry copy that already translated the page is done with the
+// frame.  The kernel takes the page's swap image right after the
+// notifier returns, so a write landing later would be lost.
+func TestInvalidateWaitsForInFlightDMA(t *testing.T) {
+	mem := phys.New(8)
+	nic := NewNIC("nopin-dma", mem, simtime.NewMeter(), 8)
+	pa := allocFrame(t, mem)
+	h, err := nic.RegisterMemory([]phys.Addr{pa}, 0, phys.PageSize, tagA, MemAttrs{NoPin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stall the copy inside its frame write, after translation.
+	inj := faultinject.New(1)
+	inj.Arm(&faultinject.Rule{Site: phys.SiteWrite, Nth: 1, Delay: 50 * time.Millisecond})
+	mem.SetFaultInjector(inj)
+	data := []byte("in flight")
+	done := make(chan error, 1)
+	go func() { done <- nic.DMAWriteLocal(h, 0, data, tagA) }()
+	for inj.Stats().Injected[phys.SiteWrite] == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if !nic.InvalidateTPTPage(h, 0) {
+		t.Fatal("invalidation found no present page")
+	}
+	got := make([]byte, len(data))
+	if err := mem.ReadPhys(pa, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("invalidation returned while a DMA copy still held the frame: frame reads %q", got)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

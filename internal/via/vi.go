@@ -463,9 +463,12 @@ func (v *VI) ErrorCause() error {
 // descriptors still queued in engine lanes are flushed with
 // StatusConnectionError when their lane dequeues them (see
 // NIC.process), so every posted descriptor reaches a terminal status.
+// An idle VI has no connection left to break: a send that raced a
+// disconnect or Reset completes with its own status and leaves the VI
+// idle, so the sends queued behind it are cancelled, not errored.
 func (v *VI) enterError(cause error) {
 	v.mu.Lock()
-	if v.state == VIError {
+	if v.state != VIConnected {
 		v.mu.Unlock()
 		return
 	}
