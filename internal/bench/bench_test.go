@@ -323,11 +323,13 @@ func TestBigphysOutput(t *testing.T) {
 // one by at least 1.5x, and the trace spans must prove substantial
 // registration/transfer overlap.
 func TestRendezvousPointShape(t *testing.T) {
-	ser, err := rendezvousRun(256*1024, -1, true)
+	const size = 256 * 1024
+	shapes := rendezvousShapes(size)
+	ser, err := rendezvousRun(size, shapes[0], true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := rendezvousRun(256*1024, 2, true)
+	pipe, err := rendezvousRun(size, shapes[2], true)
 	if err != nil {
 		t.Fatal(err)
 	}

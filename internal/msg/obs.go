@@ -97,10 +97,11 @@ func (o *epObs) pipeline(nchunks int) {
 }
 
 // chunkSpanBegin opens a pipeline chunk span (registration or transfer)
-// when an observer is attached; the returned pair is inert otherwise.
-func (e *Endpoint) chunkSpanBegin(k trace.Kind, idx, n int) (*epObs, trace.SpanID) {
+// when an observer is attached and the rendezvous has two or more
+// chunks; the returned pair is inert otherwise.
+func (e *Endpoint) chunkSpanBegin(k trace.Kind, idx, n, nchunks int) (*epObs, trace.SpanID) {
 	obs := e.obs.Load()
-	if obs == nil {
+	if obs == nil || nchunks < 2 {
 		return nil, 0
 	}
 	return obs, obs.trc.Begin(k, uint64(idx), uint64(n))

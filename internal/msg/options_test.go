@@ -51,8 +51,7 @@ func TestOptionsChooseCustom(t *testing.T) {
 }
 
 // TestOptionsWithDefaults checks zero fields pick up the package
-// defaults while set fields — including the negative legacy pipeline
-// depth, which must not be mistaken for "unset" — survive.
+// defaults while set fields survive.
 func TestOptionsWithDefaults(t *testing.T) {
 	d := Options{}.withDefaults()
 	want := Options{
@@ -67,7 +66,7 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if d != want {
 		t.Errorf("Options{}.withDefaults() = %+v, want %+v", d, want)
 	}
-	set := Options{EagerMax: 1, InlineMax: 64, OneCopyMax: 2, PipelineDepth: -1,
+	set := Options{EagerMax: 1, InlineMax: 64, OneCopyMax: 2, PipelineDepth: 1,
 		PipelineChunk: 4096, RingSlots: 2, SlotBytes: 4096}
 	if got := set.withDefaults(); got != set {
 		t.Errorf("withDefaults clobbered set fields: %+v → %+v", set, got)
@@ -103,32 +102,39 @@ func TestEndpointOptionsSteerAuto(t *testing.T) {
 	}
 }
 
-// TestEndpointOptionsLegacyDepth checks PipelineDepth < 0 restores the
-// serialized whole-buffer rendezvous: zero-copy sends succeed and no
-// pipelined-send stats move.
-func TestEndpointOptionsLegacyDepth(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0, Options{PipelineDepth: -1})
-	c.transfer(t, 256*1024, ZeroCopy, 3)
-	st := c.epA.Stats()
-	if st.ZeroCopies != 1 {
-		t.Errorf("zero-copy sends = %d, want 1", st.ZeroCopies)
-	}
-	if st.PipelinedSends != 0 || st.PipelineChunks != 0 {
-		t.Errorf("legacy depth ran the pipeline: %d sends, %d chunks",
-			st.PipelinedSends, st.PipelineChunks)
-	}
-}
-
-// TestEndpointOptionsPipelineChunk checks a custom chunk size drives
-// the chunk count.
+// TestEndpointOptionsPipelineChunk checks the chunk size drives the
+// rendezvous shape: a smaller chunk sets the chunk count, and a chunk
+// at least as large as the message runs the serialized rendezvous —
+// one chunk, no pipelined-send stats.
 func TestEndpointOptionsPipelineChunk(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0, Options{PipelineChunk: 32 * 1024})
-	c.transfer(t, 256*1024, ZeroCopy, 4)
-	st := c.epA.Stats()
-	if st.PipelinedSends != 1 {
-		t.Fatalf("pipelined sends = %d, want 1", st.PipelinedSends)
+	const size = 256 * 1024
+	cases := []struct {
+		name      string
+		chunk     int
+		sends     uint64
+		chunks    uint64
+		cacheMiss uint64
+	}{
+		{"chunked", 32 * 1024, 1, 8, 8},
+		{"serialized", size, 0, 0, 1},
 	}
-	if st.PipelineChunks != 8 {
-		t.Errorf("pipeline chunks = %d, want 8 (256 KiB / 32 KiB)", st.PipelineChunks)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, core.StrategyKiobuf, 0, Options{PipelineChunk: tc.chunk})
+			c.transfer(t, size, ZeroCopy, 4)
+			st := c.epA.Stats()
+			if st.ZeroCopies != 1 {
+				t.Errorf("zero-copy sends = %d, want 1", st.ZeroCopies)
+			}
+			if st.PipelinedSends != tc.sends || st.PipelineChunks != tc.chunks {
+				t.Errorf("pipelined sends/chunks = %d/%d, want %d/%d",
+					st.PipelinedSends, st.PipelineChunks, tc.sends, tc.chunks)
+			}
+			for _, ep := range []*Endpoint{c.epA, c.epB} {
+				if m := ep.Cache().Stats().Misses; m != tc.cacheMiss {
+					t.Errorf("%s registrations = %d, want %d", ep.name, m, tc.cacheMiss)
+				}
+			}
+		})
 	}
 }

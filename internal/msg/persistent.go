@@ -2,7 +2,6 @@ package msg
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/proc"
 	"repro/internal/regcache"
@@ -15,147 +14,87 @@ import (
 // use registered buffers again like in the MPI persistent
 // communication".  SendInit/RecvInit acquire the registration once
 // (class persistent, so the cache evicts it last) and hold it across
-// any number of Start calls; Free releases it.
+// any number of Start calls; Free releases it.  Both sides run the
+// ordinary rendezvous (rndv.go) with the held registration as its
+// placement.
 
 // ErrFreed reports a Start on a freed persistent request.
 var ErrFreed = errors.New("msg: persistent request freed")
 
-// PersistentSend is a reusable zero-copy send request over one buffer.
-type PersistentSend struct {
+// persistent is what both request kinds hold: the endpoint, the buffer
+// and the buffer's registration (nil once freed).
+type persistent struct {
 	ep  *Endpoint
 	buf *proc.Buffer
 	reg *vipl.MemRegion
+}
+
+// PersistentSend is a reusable zero-copy send request over one buffer.
+type PersistentSend struct{ persistent }
+
+// PersistentRecv is a reusable zero-copy receive request.
+type PersistentRecv struct{ persistent }
+
+// initPersistent validates the buffer and acquires its held registration.
+func (e *Endpoint) initPersistent(b *proc.Buffer, attrs via.MemAttrs) (persistent, error) {
+	if e.peer == nil {
+		return persistent{}, ErrNotPaired
+	}
+	if b.Bytes <= 0 {
+		return persistent{}, ErrEmptyMessage
+	}
+	reg, err := e.cache.Acquire(b, 0, b.Bytes, attrs, regcache.ClassPersistent)
+	if err != nil {
+		return persistent{}, err
+	}
+	return persistent{ep: e, buf: b, reg: reg}, nil
 }
 
 // SendInit registers the buffer once and returns the reusable request.
 func (e *Endpoint) SendInit(b *proc.Buffer) (*PersistentSend, error) {
-	if e.peer == nil {
-		return nil, ErrNotPaired
-	}
-	if b.Bytes <= 0 {
-		return nil, ErrEmptyMessage
-	}
-	reg, err := e.cache.Acquire(b, 0, b.Bytes, via.MemAttrs{}, regcache.ClassPersistent)
+	p, err := e.initPersistent(b, via.MemAttrs{})
 	if err != nil {
 		return nil, err
 	}
-	return &PersistentSend{ep: e, buf: b, reg: reg}, nil
-}
-
-// Start performs one zero-copy send of the whole buffer using the held
-// registration: no kernel call, no pinning, no TPT update on this path.
-func (p *PersistentSend) Start() (int, error) {
-	if p.reg == nil {
-		return 0, ErrFreed
-	}
-	return p.ep.sendZeroCopyReg(p.buf, p.reg)
-}
-
-// Free releases the held registration back to the cache.
-func (p *PersistentSend) Free() error {
-	if p.reg == nil {
-		return ErrFreed
-	}
-	reg := p.reg
-	p.reg = nil
-	return p.ep.cache.Release(reg)
-}
-
-// PersistentRecv is a reusable zero-copy receive request.
-type PersistentRecv struct {
-	ep  *Endpoint
-	buf *proc.Buffer
-	reg *vipl.MemRegion
+	return &PersistentSend{p}, nil
 }
 
 // RecvInit registers the buffer (RDMA-write enabled) once.
 func (e *Endpoint) RecvInit(b *proc.Buffer) (*PersistentRecv, error) {
-	if e.peer == nil {
-		return nil, ErrNotPaired
-	}
-	if b.Bytes <= 0 {
-		return nil, ErrEmptyMessage
-	}
-	reg, err := e.cache.Acquire(b, 0, b.Bytes, via.MemAttrs{EnableRDMAWrite: true}, regcache.ClassPersistent)
+	p, err := e.initPersistent(b, via.MemAttrs{EnableRDMAWrite: true})
 	if err != nil {
 		return nil, err
 	}
-	return &PersistentRecv{ep: e, buf: b, reg: reg}, nil
+	return &PersistentRecv{p}, nil
 }
 
-// Start receives one zero-copy message into the held buffer.  The
-// incoming message must be a zero-copy rendezvous (the sender must use
-// ZeroCopy or a persistent send).
+// Start performs one zero-copy send of the whole buffer, one rendezvous
+// chunk from the held registration: no kernel call, no pinning, no TPT
+// update on this path.
+func (p *PersistentSend) Start() (int, error) {
+	if p.reg == nil {
+		return 0, ErrFreed
+	}
+	return p.ep.sendRndv(p.buf, placeAcquire, p.buf.Bytes, p.reg)
+}
+
+// Start receives one message into the held buffer.  A rendezvous (a
+// ZeroCopy or persistent send) lands straight in the held registration,
+// whatever chunking the sender chose; any other message, including the
+// one-copy fallback of a degraded rendezvous, is received as Recv would.
 func (p *PersistentRecv) Start() (int, error) {
 	if p.reg == nil {
 		return 0, ErrFreed
 	}
-	e := p.ep
-	m := <-e.ctrl
-	if m.kind != kRTS {
-		return 0, fmt.Errorf("msg: persistent recv expected RTS, got kind %d", m.kind)
-	}
-	if m.size > p.buf.Bytes {
-		return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, m.size, p.buf.Bytes)
-	}
-	if m.nchunks > 0 {
-		// Pipelined sender: grant each chunk a window of the held
-		// whole-buffer registration.  The grants cost nothing (the
-		// registration is persistent), so the reported overlap cost is
-		// zero and the sender's own per-chunk acquires pace the pipeline.
-		for i := 0; i < m.nchunks; i++ {
-			e.sendCtrl(ctrlMsg{kind: kChunkGrant, idx: i, handle: p.reg.Handle(), offset: i * m.chunk})
-			fin := <-e.ctrl
-			switch {
-			case fin.kind == kRndvAbort:
-				return 0, fmt.Errorf("msg: persistent recv: sender unwound pipelined rendezvous at chunk %d", fin.idx)
-			case fin.kind != kChunkFin || fin.idx != i:
-				return 0, fmt.Errorf("msg: persistent recv expected chunk fin %d, got kind %d", i, fin.kind)
-			}
-		}
-		e.stats.RecvMsgs++
-		e.stats.RecvBytes += uint64(m.size)
-		return m.size, nil
-	}
-	e.sendCtrl(ctrlMsg{kind: kCTS, handle: p.reg.Handle()})
-	fin := <-e.ctrl
-	if fin.kind != kFin {
-		return 0, fmt.Errorf("msg: persistent recv expected Fin, got kind %d", fin.kind)
-	}
-	e.stats.RecvMsgs++
-	e.stats.RecvBytes += uint64(m.size)
-	return m.size, nil
+	return p.ep.recv(p.buf, p.reg)
 }
 
-// Free releases the held registration.
-func (p *PersistentRecv) Free() error {
+// Free releases the held registration back to the cache.
+func (p *persistent) Free() error {
 	if p.reg == nil {
 		return ErrFreed
 	}
 	reg := p.reg
 	p.reg = nil
 	return p.ep.cache.Release(reg)
-}
-
-// sendZeroCopyReg is the rendezvous send over a caller-held region.
-func (e *Endpoint) sendZeroCopyReg(b *proc.Buffer, reg *vipl.MemRegion) (int, error) {
-	size := b.Bytes
-	e.sendCtrl(ctrlMsg{kind: kRTS, size: size})
-	cts := <-e.ctrl
-	if cts.kind != kCTS {
-		return 0, fmt.Errorf("msg: expected CTS, got kind %d", cts.kind)
-	}
-	d := via.NewDescriptor(via.OpRDMAWrite, reg.Seg(0, size))
-	d.Remote = via.RemoteSegment{Handle: cts.handle, Offset: 0}
-	if err := e.vi.PostSend(d); err != nil {
-		return 0, err
-	}
-	if st := e.waitDesc(d); st != via.StatusSuccess {
-		return 0, fmt.Errorf("msg: RDMA write failed: %v", st)
-	}
-	e.sendCtrl(ctrlMsg{kind: kFin, size: size})
-	e.stats.SentMsgs++
-	e.stats.SentBytes += uint64(size)
-	e.stats.ZeroCopies++
-	return size, nil
 }

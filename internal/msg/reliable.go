@@ -14,13 +14,14 @@
 // gracefully: it tells the receiver to stop waiting (kAbort) and
 // returns ErrRetriesExhausted.
 //
-// Scope: the inline protocols (eager and one-copy).  The zero-copy
-// rendezvous is not retried — its RDMA completion carries no receiver
-// acknowledgement, so a transparent retransmit could not be
-// deduplicated; transport failures surface to the caller.  A chunk
-// *registration* fault inside the pipelined rendezvous, however, is
-// handled before any data moves for that chunk: both sides unwind and
-// the sender degrades to the one-copy path, which does get retried.
+// Scope: the inline protocols (eager and one-copy).  The rendezvous
+// behind zero-copy, persistent and remap transfers (rndv.go) is not
+// retried — its RDMA completion carries no receiver acknowledgement, so
+// a transparent retransmit could not be deduplicated; a failed data
+// phase aborts both sides with a typed ErrTransport.  A registration
+// fault or a declined grant, however, is handled before that chunk's
+// data moves: both sides unwind and the sender degrades to the one-copy
+// path, which does get retried.
 package msg
 
 import (

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -297,51 +298,118 @@ func TestRemapFrameAccounting(t *testing.T) {
 }
 
 // TestRemapOutsideReliability pins the reliability-domain boundary
-// (DESIGN.md §13): the remap data phase is NOT retried.  A link that
-// dies under the RDMA write surfaces as a typed ErrTransport on the
-// sender and a typed abort on the receiver — no retransmission, no
-// partial delivery counted as success.  (The stripe analogue is
+// (DESIGN.md §13) for every rendezvous placement: the data phase is NOT
+// retried.  A link that dies under the RDMA write surfaces as a typed
+// ErrTransport on the sender and a typed abort on the receiver — no
+// retransmission, no partial delivery counted as success, no receiver
+// left blocked waiting for a fin, and no registration, staging frame or
+// write guard left behind.  (The stripe analogue is
 // TestStripeAllRailsDown.)
 func TestRemapOutsideReliability(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0)
-	size := 32 * phys.PageSize
-	// Fail the one DMA large enough to be the remap data phase; control
-	// messages and ring traffic stay up.
-	inj := faultinject.New(7)
-	inj.FailWhen(via.SiteDMA, func(op faultinject.Op) bool { return op.N >= size }, via.ErrLinkDown)
-	c.nicA.SetFaultInjector(inj)
+	cases := []struct {
+		name  string
+		size  int
+		send  func(c *cluster, src *proc.Buffer) (int, error)
+		recv  func(c *cluster, dst *proc.Buffer) (int, error)
+		sends func(s Stats) uint64 // the protocol's own send counter
+	}{
+		{name: "donated", size: 32 * phys.PageSize,
+			send:  func(c *cluster, src *proc.Buffer) (int, error) { return c.epA.Send(src, Remap) },
+			sends: func(s Stats) uint64 { return s.RemapSends }},
+		{name: "acquire/one-chunk", size: DefaultPipelineChunk,
+			send:  func(c *cluster, src *proc.Buffer) (int, error) { return c.epA.Send(src, ZeroCopy) },
+			sends: func(s Stats) uint64 { return s.ZeroCopies }},
+		{name: "acquire/pipelined", size: 4 * DefaultPipelineChunk,
+			send:  func(c *cluster, src *proc.Buffer) (int, error) { return c.epA.Send(src, ZeroCopy) },
+			sends: func(s Stats) uint64 { return s.ZeroCopies + s.PipelinedSends }},
+		{name: "held/persistent", size: 32 * phys.PageSize,
+			send: func(c *cluster, src *proc.Buffer) (int, error) {
+				ps, err := c.epA.SendInit(src)
+				if err != nil {
+					return 0, err
+				}
+				defer ps.Free()
+				return ps.Start()
+			},
+			recv: func(c *cluster, dst *proc.Buffer) (int, error) {
+				pr, err := c.epB.RecvInit(dst)
+				if err != nil {
+					return 0, err
+				}
+				defer pr.Free()
+				return pr.Start()
+			},
+			sends: func(s Stats) uint64 { return s.ZeroCopies }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, core.StrategyKiobuf, 0)
+			regsA, regsB := c.agentA.Registrations(), c.agentB.Registrations()
+			// Fail every DMA large enough to be the data phase; control
+			// messages and ring traffic stay up.
+			inj := faultinject.New(7)
+			inj.FailWhen(via.SiteDMA, func(op faultinject.Op) bool { return op.N >= 16*phys.PageSize }, via.ErrLinkDown)
+			c.nicA.SetFaultInjector(inj)
 
-	src, _ := c.procA.Malloc(size)
-	dst, _ := c.procB.Malloc(size)
-	if err := src.FillPattern(21); err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.epA.Send(src, Remap)
-		errc <- err
-	}()
-	_, rerr := c.epB.Recv(dst)
-	serr := <-errc
-	if !errors.Is(serr, ErrTransport) {
-		t.Fatalf("sender error %v, want ErrTransport", serr)
-	}
-	if !errors.Is(rerr, ErrTransport) {
-		t.Fatalf("receiver error %v, want ErrTransport", rerr)
-	}
-	if s := c.epA.Stats(); s.SentMsgs != 0 || s.RemapSends != 0 {
-		t.Fatalf("failed transfer counted as sent: %+v", s)
-	}
-	// The receiver released its staging; nothing leaked.
-	if n := c.kernelB.OrphanFrames(); n != 0 {
-		t.Fatalf("aborted transfer leaked %d frames", n)
-	}
-	if err := c.kernelB.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// The guard came off: the sender's buffer is writable again.
-	if err := src.Write(0, []byte{1}); err != nil {
-		t.Fatalf("sender buffer still guarded after failed send: %v", err)
+			src, _ := c.procA.Malloc(tc.size)
+			dst, _ := c.procB.Malloc(tc.size)
+			if err := src.FillPattern(21); err != nil {
+				t.Fatal(err)
+			}
+			recv := tc.recv
+			if recv == nil {
+				recv = func(c *cluster, dst *proc.Buffer) (int, error) { return c.epB.Recv(dst) }
+			}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := tc.send(c, src)
+				errc <- err
+			}()
+			rerrc := make(chan error, 1)
+			go func() {
+				_, err := recv(c, dst)
+				rerrc <- err
+			}()
+			serr := <-errc
+			var rerr error
+			select {
+			case rerr = <-rerrc:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("receiver still blocked 5 s after the sender failed with %v", serr)
+			}
+			if !errors.Is(serr, ErrTransport) {
+				t.Fatalf("sender error %v, want ErrTransport", serr)
+			}
+			if !errors.Is(rerr, ErrTransport) {
+				t.Fatalf("receiver error %v, want ErrTransport", rerr)
+			}
+			if s := c.epA.Stats(); s.SentMsgs != 0 || tc.sends(s) != 0 {
+				t.Fatalf("failed transfer counted as sent: %+v", s)
+			}
+			// Both sides released their registrations and the receiver its
+			// staging; nothing leaked.
+			for _, ep := range []*Endpoint{c.epA, c.epB} {
+				if _, err := ep.Cache().Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if n := ep.Cache().Len(); n != 0 {
+					t.Fatalf("%s cache still holds %d registrations in use", ep.name, n)
+				}
+			}
+			if a, b := c.agentA.Registrations(), c.agentB.Registrations(); a != regsA || b != regsB {
+				t.Fatalf("registrations %d/%d after the failed transfer, want %d/%d", a, b, regsA, regsB)
+			}
+			if n := c.kernelB.OrphanFrames(); n != 0 {
+				t.Fatalf("aborted transfer leaked %d frames", n)
+			}
+			if err := c.kernelB.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			// A remap guard came off: the sender's buffer is writable again.
+			if err := src.Write(0, []byte{1}); err != nil {
+				t.Fatalf("sender buffer still guarded after failed send: %v", err)
+			}
+		})
 	}
 }
 

@@ -129,9 +129,9 @@ const (
 	// completion.  Begin: Arg1=chunk index, Arg2=chunk length.  End:
 	// Arg1=1 on success / 0 on failure, Arg2=chunk index.
 	KindChunkXfer
-	// KindPipeFallback marks a pipelined rendezvous degrading to the
-	// one-copy path after a chunk registration fault.  Arg1=message
-	// size.
+	// KindPipeFallback marks a zero-copy rendezvous degrading to the
+	// one-copy path after a registration fault or a declined grant.
+	// Arg1=message size, Arg2=chunks.
 	KindPipeFallback
 
 	// Ownership-transfer protocol (still message layer).
@@ -148,7 +148,7 @@ const (
 	KindRemapRecv
 	// KindRemapFallback marks a remap send degrading to the one-copy
 	// path after the receiver declined to stage frames.  Arg1=message
-	// size.
+	// size, Arg2=1 (one chunk).
 	KindRemapFallback
 
 	numKinds // sentinel for exhaustiveness tests
