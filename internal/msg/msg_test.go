@@ -1,8 +1,10 @@
 package msg
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kagent"
@@ -217,13 +219,44 @@ func TestRegistrationCacheHitsOnReuse(t *testing.T) {
 	}
 }
 
+// TestRecvBufferTooSmall checks a receive buffer shorter than the
+// message is refused with ErrTooSmall and, for a one-chunk rendezvous,
+// that the receiver declines the grant so the sender completes through
+// its one-copy fallback (one ring slot) instead of waiting forever.
 func TestRecvBufferTooSmall(t *testing.T) {
-	c := newCluster(t, core.StrategyKiobuf, 0)
-	src, _ := c.procA.Malloc(8 * 1024)
-	dst, _ := c.procB.Malloc(1024)
-	go func() { _, _ = c.epA.Send(src, Eager) }()
-	if _, err := c.epB.Recv(dst); err == nil {
-		t.Fatal("short receive buffer accepted")
+	cases := []struct {
+		p        Protocol
+		src, dst int
+		sendEnds bool
+	}{
+		{Eager, 8 * 1024, 1024, false},
+		{ZeroCopy, DefaultPipelineChunk, 4096, true},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/%d", tc.p, tc.src), func(t *testing.T) {
+			c := newCluster(t, core.StrategyKiobuf, 0)
+			src, _ := c.procA.Malloc(tc.src)
+			dst, _ := c.procB.Malloc(tc.dst)
+			errc := make(chan error, 1)
+			go func() {
+				_, err := c.epA.Send(src, tc.p)
+				errc <- err
+			}()
+			if _, err := c.epB.Recv(dst); !errors.Is(err, ErrTooSmall) {
+				t.Fatalf("recv: %v, want ErrTooSmall", err)
+			}
+			if !tc.sendEnds {
+				return
+			}
+			select {
+			case err := <-errc:
+				if err != nil {
+					t.Fatalf("send: %v, want success (degraded one-copy)", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("sender still waiting for a grant 5 s after the receiver refused")
+			}
+		})
 	}
 }
 
