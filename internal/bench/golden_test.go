@@ -6,13 +6,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/mpi"
 )
 
 // TestTableGoldens pins the message-protocol tables byte-for-byte, the
 // same way TestObsGolden pins E18: E6 (protocols), E19 (rendezvous) and
 // E23 (remap) run entirely in virtual time, so any drift means the
 // protocol state machine or the cost model under it changed, and the
-// golden must be regenerated deliberately with -update.
+// golden must be regenerated deliberately with -update.  E21's smoke
+// sweep (16 and 64 ranks) pins the collectives' log₂ per-rank scaling
+// the same way.
 func TestTableGoldens(t *testing.T) {
 	tables := []struct {
 		name string
@@ -21,6 +25,7 @@ func TestTableGoldens(t *testing.T) {
 		{"protocols", Protocols},
 		{"rendezvous", Rendezvous},
 		{"remap", Remap},
+		{"e21", func(w io.Writer) error { return CollectiveScale(w, true, mpi.AlgoLog) }},
 	}
 	for _, tc := range tables {
 		t.Run(tc.name, func(t *testing.T) {
