@@ -6,11 +6,11 @@
 //
 // With -table=e21 it instead runs the collective scaling sweep (E21):
 // world sizes from 16 to 1024 ranks over lazy pairing, shared-CQ muxes
-// and RDMA-eager rings, with -algo=linear as the O(n) ablation.
+// and RDMA-eager rings.
 //
 // Usage:
 //
-//	mpibench [-ranks N] [-nodes M] [-table mpi|e21] [-smoke] [-algo log|linear]
+//	mpibench [-ranks N] [-nodes M] [-table mpi|e21] [-smoke]
 package main
 
 import (
@@ -36,15 +36,10 @@ func main() {
 	nodes := flag.Int("nodes", 2, "simulated nodes")
 	table := flag.String("table", "mpi", "table to run: mpi (E14 ping-pong + IS-mini) or e21 (collective scaling sweep)")
 	smoke := flag.Bool("smoke", false, "e21: restrict the sweep to the CI-sized rank counts")
-	algo := flag.String("algo", "log", "e21: collective algorithm family (log or linear)")
 	flag.Parse()
 
 	if *table == "e21" {
-		a := mpi.AlgoLog
-		if *algo == "linear" {
-			a = mpi.AlgoLinear
-		}
-		if err := bench.CollectiveScale(os.Stdout, *smoke, a); err != nil {
+		if err := bench.CollectiveScale(os.Stdout, *smoke); err != nil {
 			fmt.Fprintln(os.Stderr, "mpibench e21:", err)
 			os.Exit(1)
 		}

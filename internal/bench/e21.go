@@ -42,22 +42,21 @@ const (
 )
 
 // CollectiveScale regenerates E21.  smoke restricts the sweep to the
-// small rank counts CI can afford; algo selects the collective family
-// (mpi.AlgoLinear is the ablation baseline).
-func CollectiveScale(w io.Writer, smoke bool, algo mpi.Algo) error {
+// small rank counts CI can afford.
+func CollectiveScale(w io.Writer, smoke bool) error {
 	rankCounts := []int{16, 64, 256, 1024}
 	if smoke {
 		rankCounts = []int{16, 64}
 	}
 	s := report.Table{
-		Title: fmt.Sprintf("E21: collective scaling — %s algorithms over lazy pairing, shared-CQ muxes and RDMA-eager rings", algoName(algo)),
+		Title: "E21: collective scaling — log-step algorithms over lazy pairing, shared-CQ muxes and RDMA-eager rings",
 		Note: fmt.Sprintf("virtual µs of work per rank per operation (the clock is a shared total-work meter, DESIGN.md §9 — per-rank work is the latency proxy, O(log n) for the log family); %d timed iterations after warm-up; vec = %d int64 ring allreduce (ranks ≤ %d); bcast = %s binomial; hit%% = regcache rate after the first bcast",
 			e21Iters, e21VecElems, e21RingCap, report.Bytes(e21BcastSize)),
 		Headers: []string{"ranks", "pairs", "VIs", "goroutines",
 			"barrier µs/rk", "allred-8B µs/rk", "vec-32KiB µs/rk", "bcast-64KiB µs/rk", "hit %", "drained"},
 	}
 	for _, ranks := range rankCounts {
-		if err := collectivePoint(&s, ranks, algo); err != nil {
+		if err := collectivePoint(&s, ranks); err != nil {
 			return fmt.Errorf("e21 %d ranks: %w", ranks, err)
 		}
 	}
@@ -65,15 +64,8 @@ func CollectiveScale(w io.Writer, smoke bool, algo mpi.Algo) error {
 	return nil
 }
 
-func algoName(a mpi.Algo) string {
-	if a == mpi.AlgoLinear {
-		return "linear (ablation)"
-	}
-	return "log-step"
-}
-
 // collectivePoint measures one rank count and appends its row.
-func collectivePoint(s *report.Table, ranks int, algo mpi.Algo) error {
+func collectivePoint(s *report.Table, ranks int) error {
 	c := cluster.MustNew(cluster.Config{
 		Nodes:    4,
 		Strategy: core.StrategyKiobuf,
@@ -87,7 +79,6 @@ func collectivePoint(s *report.Table, ranks int, algo mpi.Algo) error {
 	w, err := mpi.NewWorldOpts(c, ranks, mpi.WorldOptions{
 		Lazy:     true,
 		SharedCQ: true,
-		Algo:     algo,
 		Endpoint: msg.Options{RDMAEager: true, RingSlots: 4, SlotBytes: 4096},
 	})
 	if err != nil {

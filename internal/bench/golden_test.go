@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/mpi"
 )
 
 // TestTableGoldens pins the message-protocol tables byte-for-byte, the
@@ -25,7 +23,7 @@ func TestTableGoldens(t *testing.T) {
 		{"protocols", Protocols},
 		{"rendezvous", Rendezvous},
 		{"remap", Remap},
-		{"e21", func(w io.Writer) error { return CollectiveScale(w, true, mpi.AlgoLog) }},
+		{"e21", func(w io.Writer) error { return CollectiveScale(w, true) }},
 	}
 	for _, tc := range tables {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,12 +13,10 @@ import (
 // called collectively: every rank must invoke the operation, each from
 // its own goroutine.
 //
-// The default algorithms are the classic logarithmic ones (MPICH
+// Each collective runs one of the classic logarithmic algorithms (MPICH
 // lineage): dissemination barrier, binomial broadcast and reduce,
 // recursive-doubling allreduce with the non-power-of-two fold, ring
-// reduce-scatter + allgather for vectors, and pairwise alltoall.  The
-// original O(n) root-centric forms survive behind Algo == AlgoLinear as
-// the ablation baseline the E21 sweep compares against.
+// reduce-scatter + allgather for long vectors, and pairwise alltoall.
 //
 // Failure semantics: a transport error inside a collective aborts the
 // whole operation.  The failing rank broadcasts an epoch-stamped abort
@@ -41,14 +39,6 @@ const (
 // ErrCollectiveAborted reports a collective torn down after a transport
 // fault on some rank.  Unwrap for the original cause.
 var ErrCollectiveAborted = errors.New("mpi: collective aborted")
-
-// algo resolves the world's collective algorithm selection.
-func (r *Rank) algo() Algo {
-	if r.world.opts.Algo == AlgoLinear {
-		return AlgoLinear
-	}
-	return AlgoLog
-}
 
 // beginColl opens a new collective epoch on this rank.  Ranks call the
 // same collectives in the same order, so epochs agree world-wide.
@@ -151,10 +141,7 @@ func (r *Rank) recvCollRaw(src, tag int, buf *proc.Buffer) (int, error) {
 		return r.copyOut(*hit, buf)
 	}
 	for {
-		if err := r.recvHeaderInto(ep); err != nil {
-			return 0, err
-		}
-		gotTag, size, err := r.parseHeader()
+		gotTag, size, err := r.recvHeader(ep)
 		if err != nil {
 			return 0, err
 		}
@@ -174,26 +161,11 @@ func (r *Rank) recvCollRaw(src, tag int, buf *proc.Buffer) (int, error) {
 			continue // stale token from a finished epoch
 		}
 		if gotTag == tag {
-			if size > buf.Bytes {
-				return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, size, buf.Bytes)
-			}
-			n, err := ep.Recv(buf)
-			if err != nil {
-				return 0, err
-			}
-			if n != size {
-				return n, fmt.Errorf("mpi: payload %d, header said %d", n, size)
-			}
-			return n, nil
+			return r.recvPayload(ep, size, buf)
 		}
-		stash, err := r.proc.Malloc(size)
-		if err != nil {
+		if err := r.stash(ep, src, gotTag, size); err != nil {
 			return 0, err
 		}
-		if _, err := ep.Recv(stash); err != nil {
-			return 0, err
-		}
-		r.unexpected[src] = append(r.unexpected[src], pending{tag: gotTag, data: stash, size: size})
 	}
 }
 
@@ -230,14 +202,11 @@ func (r *Rank) exchange(dst, src, tag int, sbuf, rbuf *proc.Buffer) error {
 	return nil
 }
 
-// Barrier blocks until every rank has entered it.  The default is the
-// dissemination barrier: ceil(log2 n) rounds, each rank signalling
-// (id + 2^k) and waiting on (id - 2^k), any world size.
+// Barrier blocks until every rank has entered it: the dissemination
+// barrier, ceil(log2 n) rounds, each rank signalling (id + 2^k) and
+// waiting on (id - 2^k), any world size.
 func (r *Rank) Barrier() error {
 	r.beginColl()
-	if r.algo() == AlgoLinear {
-		return r.barrierLinear()
-	}
 	n := len(r.world.ranks)
 	tok, err := r.getScratch(8)
 	if err != nil {
@@ -259,45 +228,14 @@ func (r *Rank) Barrier() error {
 	return nil
 }
 
-// barrierLinear gathers tokens at rank 0, then releases everyone.
-func (r *Rank) barrierLinear() error {
-	n := len(r.world.ranks)
-	token, err := r.getScratch(8)
-	if err != nil {
-		return err
-	}
-	defer r.putScratch(token)
-	if r.id == 0 {
-		for src := 1; src < n; src++ {
-			if _, err := r.recvColl(src, barrierTag, token); err != nil {
-				return fmt.Errorf("mpi: barrier gather from %d: %w", src, err)
-			}
-		}
-		for dst := 1; dst < n; dst++ {
-			if err := r.sendColl(dst, barrierTag, token); err != nil {
-				return fmt.Errorf("mpi: barrier release to %d: %w", dst, err)
-			}
-		}
-		return nil
-	}
-	if err := r.sendColl(0, barrierTag, token); err != nil {
-		return err
-	}
-	_, err = r.recvColl(0, barrierTag, token)
-	return err
-}
-
-// Bcast distributes root's buffer contents to every rank's buffer.  The
-// default is the binomial tree on virtual ranks (id - root mod n): each
-// round doubles the informed set, ceil(log2 n) rounds total.
+// Bcast distributes root's buffer contents to every rank's buffer over
+// the binomial tree on virtual ranks (id - root mod n): each round
+// doubles the informed set, ceil(log2 n) rounds total.
 func (r *Rank) Bcast(root int, buf *proc.Buffer) error {
 	r.beginColl()
 	n := len(r.world.ranks)
 	if root < 0 || root >= n {
 		return fmt.Errorf("%w: root %d", ErrRank, root)
-	}
-	if r.algo() == AlgoLinear {
-		return r.bcastLinear(root, buf)
 	}
 	vr := (r.id - root + n) % n
 	mask := 1
@@ -322,28 +260,10 @@ func (r *Rank) Bcast(root int, buf *proc.Buffer) error {
 	return nil
 }
 
-// bcastLinear is the O(n) root fan-out.
-func (r *Rank) bcastLinear(root int, buf *proc.Buffer) error {
-	n := len(r.world.ranks)
-	if r.id == root {
-		for dst := 0; dst < n; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := r.sendColl(dst, bcastTag, buf); err != nil {
-				return fmt.Errorf("mpi: bcast to %d: %w", dst, err)
-			}
-		}
-		return nil
-	}
-	_, err := r.recvColl(root, bcastTag, buf)
-	return err
-}
-
-// ReduceOp combines two int64 values.  The log-structured collectives
-// additionally assume the operator is associative and commutative (as
-// MPI's predefined operators are); FuzzReduceOps pins that property for
-// the built-ins.
+// ReduceOp combines two int64 values.  The collectives additionally
+// assume the operator is associative and commutative (as MPI's
+// predefined operators are); FuzzReduceOps pins that property for the
+// built-ins.
 type ReduceOp func(a, b int64) int64
 
 // Standard reduction operators.
@@ -372,9 +292,6 @@ func (r *Rank) Reduce(root int, contrib int64, op ReduceOp) (int64, error) {
 	n := len(r.world.ranks)
 	if root < 0 || root >= n {
 		return 0, fmt.Errorf("%w: root %d", ErrRank, root)
-	}
-	if r.algo() == AlgoLinear {
-		return r.reduceLinear(root, contrib, op)
 	}
 	cell, err := r.getScratch(8)
 	if err != nil {
@@ -409,171 +326,15 @@ func (r *Rank) Reduce(root int, contrib int64, op ReduceOp) (int64, error) {
 	return acc, nil
 }
 
-// reduceLinear gathers every contribution at the root.
-func (r *Rank) reduceLinear(root int, contrib int64, op ReduceOp) (int64, error) {
-	n := len(r.world.ranks)
-	cell, err := r.getScratch(8)
-	if err != nil {
-		return 0, err
-	}
-	defer r.putScratch(cell)
-	if r.id != root {
-		if err := putI64(cell, 0, contrib); err != nil {
-			return 0, err
-		}
-		return contrib, r.sendColl(root, reduceTag, cell)
-	}
-	acc := contrib
-	for src := 0; src < n; src++ {
-		if src == root {
-			continue
-		}
-		if _, err := r.recvColl(src, reduceTag, cell); err != nil {
-			return 0, err
-		}
-		v, err := getI64(cell, 0)
-		if err != nil {
-			return 0, err
-		}
-		acc = op(acc, v)
-	}
-	return acc, nil
-}
-
 // Allreduce combines each rank's contribution with op and returns the
-// result on every rank.  The default is recursive doubling: fold the
-// rem = n - 2^⌊log2 n⌋ extra ranks into their even neighbours, run log2
-// rounds of pairwise exchange over the power-of-two core, then unfold.
+// result on every rank, by recursive doubling on a one-element vector.
 func (r *Rank) Allreduce(contrib int64, op ReduceOp) (int64, error) {
 	r.beginColl()
-	if r.algo() == AlgoLinear {
-		return r.allreduceLinear(contrib, op)
-	}
-	n := len(r.world.ranks)
-	cell, err := r.getScratch(8)
-	if err != nil {
+	r.scalar[0] = contrib
+	if err := r.allreduceRD(r.scalar[:], r.scalarTmp[:], op); err != nil {
 		return 0, err
 	}
-	defer r.putScratch(cell)
-	rcell, err := r.getScratch(8)
-	if err != nil {
-		return 0, err
-	}
-	defer r.putScratch(rcell)
-
-	pof2 := 1
-	for pof2*2 <= n {
-		pof2 *= 2
-	}
-	rem := n - pof2
-	acc := contrib
-	newid := -1
-	switch {
-	case r.id < 2*rem && r.id%2 == 0:
-		// Fold: even extras hand their value to the odd neighbour and
-		// sit out the core rounds.
-		if err := putI64(cell, 0, acc); err != nil {
-			return 0, err
-		}
-		if err := r.sendColl(r.id+1, reduceTag, cell); err != nil {
-			return 0, err
-		}
-	case r.id < 2*rem:
-		if _, err := r.recvColl(r.id-1, reduceTag, rcell); err != nil {
-			return 0, err
-		}
-		v, err := getI64(rcell, 0)
-		if err != nil {
-			return 0, err
-		}
-		acc = op(acc, v)
-		newid = r.id / 2
-	default:
-		newid = r.id - rem
-	}
-	if newid >= 0 {
-		for mask := 1; mask < pof2; mask <<= 1 {
-			pn := newid ^ mask
-			partner := pn + rem
-			if pn < rem {
-				partner = pn*2 + 1
-			}
-			if err := putI64(cell, 0, acc); err != nil {
-				return 0, err
-			}
-			if err := r.exchange(partner, partner, reduceTag, cell, rcell); err != nil {
-				return 0, err
-			}
-			v, err := getI64(rcell, 0)
-			if err != nil {
-				return 0, err
-			}
-			acc = op(acc, v)
-		}
-	}
-	// Unfold: odd folded ranks return the result to their even partner.
-	if r.id < 2*rem {
-		if r.id%2 != 0 {
-			if err := putI64(cell, 0, acc); err != nil {
-				return 0, err
-			}
-			if err := r.sendColl(r.id-1, reduceTag, cell); err != nil {
-				return 0, err
-			}
-		} else {
-			if _, err := r.recvColl(r.id+1, reduceTag, rcell); err != nil {
-				return 0, err
-			}
-			v, err := getI64(rcell, 0)
-			if err != nil {
-				return 0, err
-			}
-			acc = v
-		}
-	}
-	return acc, nil
-}
-
-// allreduceLinear reduces to rank 0 and fans the result back out.
-func (r *Rank) allreduceLinear(contrib int64, op ReduceOp) (int64, error) {
-	n := len(r.world.ranks)
-	cell, err := r.getScratch(8)
-	if err != nil {
-		return 0, err
-	}
-	defer r.putScratch(cell)
-	if r.id == 0 {
-		acc := contrib
-		for src := 1; src < n; src++ {
-			if _, err := r.recvColl(src, reduceTag, cell); err != nil {
-				return 0, err
-			}
-			v, err := getI64(cell, 0)
-			if err != nil {
-				return 0, err
-			}
-			acc = op(acc, v)
-		}
-		if err := putI64(cell, 0, acc); err != nil {
-			return 0, err
-		}
-		for dst := 1; dst < n; dst++ {
-			if err := r.sendColl(dst, bcastTag, cell); err != nil {
-				return 0, err
-			}
-		}
-		return acc, nil
-	}
-	if err := putI64(cell, 0, contrib); err != nil {
-		return 0, err
-	}
-	if err := r.sendColl(0, reduceTag, cell); err != nil {
-		return 0, err
-	}
-	if _, err := r.recvColl(0, bcastTag, cell); err != nil {
-		return 0, err
-	}
-	return getI64(cell, 0)
+	return r.scalar[0], nil
 }
 
 // ringMinPerRank is the element count per rank below which AllreduceVec
@@ -593,24 +354,23 @@ func (r *Rank) AllreduceVec(vals []int64, op ReduceOp) ([]int64, error) {
 	if len(vals) == 0 {
 		return acc, nil
 	}
-	if r.algo() == AlgoLinear {
-		return r.allreduceVecLinear(acc, op)
-	}
+	var err error
 	if len(vals) < ringMinPerRank*n {
-		if err := r.allreduceVecRD(acc, op); err != nil {
-			return nil, err
-		}
-		return acc, nil
+		err = r.allreduceRD(acc, make([]int64, len(acc)), op)
+	} else {
+		err = r.allreduceVecRing(acc, op)
 	}
-	if err := r.allreduceVecRing(acc, op); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return acc, nil
 }
 
-// allreduceVecRD is recursive doubling over the whole vector (the
-// non-power-of-two fold mirrors the scalar Allreduce).
-func (r *Rank) allreduceVecRD(acc []int64, op ReduceOp) error {
+// allreduceRD is recursive doubling over the whole vector acc, with tmp
+// (the same length) as the landing area for partners' values: fold the
+// rem = n - 2^⌊log2 n⌋ extra ranks into their odd neighbours, run log2
+// rounds of pairwise exchange over the power-of-two core, then unfold.
+func (r *Rank) allreduceRD(acc, tmp []int64, op ReduceOp) error {
 	n := len(r.world.ranks)
 	nb := 8 * len(acc)
 	cell, err := r.getScratch(nb)
@@ -623,7 +383,6 @@ func (r *Rank) allreduceVecRD(acc []int64, op ReduceOp) error {
 		return err
 	}
 	defer r.putScratch(rcell)
-	tmp := make([]int64, len(acc))
 
 	pof2 := 1
 	for pof2*2 <= n {
@@ -633,6 +392,8 @@ func (r *Rank) allreduceVecRD(acc []int64, op ReduceOp) error {
 	newid := -1
 	switch {
 	case r.id < 2*rem && r.id%2 == 0:
+		// Fold: even extras hand their values to the odd neighbour and
+		// sit out the core rounds.
 		if err := putVec(cell, acc); err != nil {
 			return err
 		}
@@ -670,6 +431,7 @@ func (r *Rank) allreduceVecRD(acc []int64, op ReduceOp) error {
 			reduceInto(acc, tmp, op)
 		}
 	}
+	// Unfold: odd folded ranks return the result to their even partner.
 	if r.id < 2*rem {
 		if r.id%2 != 0 {
 			if err := putVec(cell, acc); err != nil {
@@ -741,48 +503,6 @@ func (r *Rank) allreduceVecRing(acc []int64, op ReduceOp) error {
 	return nil
 }
 
-// allreduceVecLinear reduces full vectors at rank 0, then broadcasts.
-func (r *Rank) allreduceVecLinear(acc []int64, op ReduceOp) ([]int64, error) {
-	n := len(r.world.ranks)
-	nb := 8 * len(acc)
-	cell, err := r.getScratch(nb)
-	if err != nil {
-		return nil, err
-	}
-	defer r.putScratch(cell)
-	if r.id == 0 {
-		tmp := make([]int64, len(acc))
-		for src := 1; src < n; src++ {
-			if _, err := r.recvColl(src, reduceTag, cell); err != nil {
-				return nil, err
-			}
-			if err := getVec(cell, tmp); err != nil {
-				return nil, err
-			}
-			reduceInto(acc, tmp, op)
-		}
-		if err := putVec(cell, acc); err != nil {
-			return nil, err
-		}
-		for dst := 1; dst < n; dst++ {
-			if err := r.sendColl(dst, bcastTag, cell); err != nil {
-				return nil, err
-			}
-		}
-		return acc, nil
-	}
-	if err := putVec(cell, acc); err != nil {
-		return nil, err
-	}
-	if err := r.sendColl(0, reduceTag, cell); err != nil {
-		return nil, err
-	}
-	if _, err := r.recvColl(0, bcastTag, cell); err != nil {
-		return nil, err
-	}
-	return acc, getVec(cell, acc)
-}
-
 // Gather collects every rank's buffer at the root: root receives rank
 // i's payload into dsts[i] (dsts[root] is filled from the root's own
 // buf); non-roots pass dsts == nil.
@@ -818,59 +538,32 @@ func (r *Rank) Gather(root int, buf *proc.Buffer, dsts []*proc.Buffer) error {
 }
 
 // Alltoall exchanges one block with every rank: sendBufs[j] goes to
-// rank j, and rank j's block for us lands in recvBufs[j].  The default
-// is the pairwise exchange: step k pairs rank id with (id+k) for the
-// send and (id-k) for the receive, so every step is a perfect matching
-// and the two halves overlap.
+// rank j, and rank j's block for us lands in recvBufs[j].  It runs the
+// pairwise exchange: step k pairs rank id with (id+k) for the send and
+// (id-k) for the receive, so every step is a perfect matching and the
+// two halves overlap.
 func (r *Rank) Alltoall(sendBufs, recvBufs []*proc.Buffer) error {
 	r.beginColl()
 	n := len(r.world.ranks)
 	if len(sendBufs) != n || len(recvBufs) != n {
 		return fmt.Errorf("mpi: alltoall needs %d send and recv buffers", n)
 	}
-	// Local copy.
+	// Local copy, held to the same size rule as a peer's block.
+	if own, dst := sendBufs[r.id].Bytes, recvBufs[r.id].Bytes; own > dst {
+		return r.abortColl(r.id, fmt.Errorf("%w: own block %d, buffer %d", ErrTooSmall, own, dst))
+	}
 	tmp := make([]byte, sendBufs[r.id].Bytes)
 	if err := sendBufs[r.id].Read(0, tmp); err != nil {
 		return err
 	}
-	if err := recvBufs[r.id].Write(0, tmp[:min(len(tmp), recvBufs[r.id].Bytes)]); err != nil {
+	if err := recvBufs[r.id].Write(0, tmp); err != nil {
 		return err
-	}
-	if r.algo() == AlgoLinear {
-		return r.alltoallLinear(sendBufs, recvBufs)
 	}
 	for k := 1; k < n; k++ {
 		dst := (r.id + k) % n
 		src := (r.id - k + n) % n
 		if err := r.exchange(dst, src, alltoallTag, sendBufs[dst], recvBufs[src]); err != nil {
 			return fmt.Errorf("mpi: alltoall step %d: %w", k, err)
-		}
-	}
-	return nil
-}
-
-// alltoallLinear walks peers in index order; rank pairs exchange with
-// the lower rank sending first.
-func (r *Rank) alltoallLinear(sendBufs, recvBufs []*proc.Buffer) error {
-	n := len(r.world.ranks)
-	for peer := 0; peer < n; peer++ {
-		if peer == r.id {
-			continue
-		}
-		if r.id < peer {
-			if err := r.sendColl(peer, alltoallTag, sendBufs[peer]); err != nil {
-				return fmt.Errorf("mpi: alltoall send to %d: %w", peer, err)
-			}
-			if _, err := r.recvColl(peer, alltoallTag, recvBufs[peer]); err != nil {
-				return fmt.Errorf("mpi: alltoall recv from %d: %w", peer, err)
-			}
-		} else {
-			if _, err := r.recvColl(peer, alltoallTag, recvBufs[peer]); err != nil {
-				return fmt.Errorf("mpi: alltoall recv from %d: %w", peer, err)
-			}
-			if err := r.sendColl(peer, alltoallTag, sendBufs[peer]); err != nil {
-				return fmt.Errorf("mpi: alltoall send to %d: %w", peer, err)
-			}
 		}
 	}
 	return nil
@@ -909,6 +602,9 @@ func getI64(b *proc.Buffer, off int) (int64, error) {
 
 // putVec / getVec move little-endian int64 vectors through sim buffers.
 func putVec(b *proc.Buffer, vals []int64) error {
+	if len(vals) == 1 {
+		return putI64(b, 0, vals[0])
+	}
 	raw := make([]byte, 8*len(vals))
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(raw[8*i:], uint64(v))
@@ -917,6 +613,11 @@ func putVec(b *proc.Buffer, vals []int64) error {
 }
 
 func getVec(b *proc.Buffer, out []int64) error {
+	if len(out) == 1 {
+		var err error
+		out[0], err = getI64(b, 0)
+		return err
+	}
 	raw := make([]byte, 8*len(out))
 	if err := b.Read(0, raw); err != nil {
 		return err

@@ -141,59 +141,6 @@ func TestAllreduceVecMax(t *testing.T) {
 	})
 }
 
-// TestLinearAblation runs the collectives under AlgoLinear and checks
-// they agree with the log-structured defaults.
-func TestLinearAblation(t *testing.T) {
-	const ranks = 5
-	_, w := worldOpts(t, 2, ranks, WorldOptions{Algo: AlgoLinear})
-	runRanks(t, w, func(r *Rank) error {
-		if err := r.Barrier(); err != nil {
-			return err
-		}
-		sum, err := r.Allreduce(int64(r.ID()+1), OpSum)
-		if err != nil {
-			return err
-		}
-		if sum != 15 {
-			t.Errorf("linear allreduce = %d, want 15", sum)
-		}
-		buf, err := r.Process().Malloc(4096)
-		if err != nil {
-			return err
-		}
-		if r.ID() == 2 {
-			if err := buf.FillPattern(77); err != nil {
-				return err
-			}
-		}
-		if err := r.Bcast(2, buf); err != nil {
-			return err
-		}
-		bad, err := buf.VerifyPattern(77)
-		if err != nil {
-			return err
-		}
-		if len(bad) != 0 {
-			t.Errorf("rank %d: linear bcast corrupted", r.ID())
-		}
-		vec, err := r.AllreduceVec([]int64{int64(r.ID()), 1}, OpSum)
-		if err != nil {
-			return err
-		}
-		if vec[0] != 0+1+2+3+4 || vec[1] != ranks {
-			t.Errorf("linear vec allreduce = %v", vec)
-		}
-		red, err := r.Reduce(0, 2, OpSum)
-		if err != nil {
-			return err
-		}
-		if r.ID() == 0 && red != 2*ranks {
-			t.Errorf("linear reduce = %d", red)
-		}
-		return nil
-	})
-}
-
 // TestLazyWorld checks deferred pairing: a fresh lazy world has no
 // endpoint pairs, the log collectives touch only O(n log n) of them,
 // and the results are still right.

@@ -43,20 +43,6 @@ var (
 // header is the message info struct: tag and payload size.
 const headerBytes = 16
 
-// Algo selects the collective algorithm family.
-type Algo string
-
-const (
-	// AlgoLog (the default) uses the logarithmic algorithms:
-	// dissemination barrier, binomial broadcast/reduce,
-	// recursive-doubling allreduce, ring allreduce for vectors and
-	// pairwise alltoall.
-	AlgoLog Algo = "log"
-	// AlgoLinear keeps the original O(n) root-centric algorithms as an
-	// ablation baseline for the E21 sweep.
-	AlgoLinear Algo = "linear"
-)
-
 // WorldOptions parameterizes world construction.
 type WorldOptions struct {
 	// CacheRegions bounds each rank's registration cache
@@ -71,8 +57,6 @@ type WorldOptions struct {
 	// into the shared queue and one poller goroutine per rank
 	// multiplexes them (the epoll analogue for thousands of VIs).
 	SharedCQ bool
-	// Algo selects the collective algorithms ("" = AlgoLog).
-	Algo Algo
 	// Endpoint seeds every endpoint's msg options (ring geometry,
 	// RDMAEager, protocol thresholds).  SharedCache and Mux are filled
 	// in per rank.
@@ -139,6 +123,10 @@ type Rank struct {
 	// collectives reuse the same virtual addresses — which is what turns
 	// their per-step registrations into registration-cache hits.
 	scratch map[int][]*proc.Buffer
+	// scalar and scalarTmp are the one-element vectors the scalar
+	// Allreduce runs recursive doubling on, kept here so it allocates
+	// nothing.
+	scalar, scalarTmp [1]int64
 }
 
 type pending struct {
@@ -405,18 +393,19 @@ func (r *Rank) Send(dst, tag int, buf *proc.Buffer) error {
 	if err != nil {
 		return err
 	}
-	return r.sendOn(ep, dst, tag, buf)
+	return r.sendOn(ep, r.hdrBuf, dst, tag, buf)
 }
 
-// sendOn is Send over an already-resolved endpoint.
-func (r *Rank) sendOn(ep *msg.Endpoint, dst, tag int, buf *proc.Buffer) error {
+// sendOn is Send over an already-resolved endpoint, announcing the
+// payload through hdrBuf.
+func (r *Rank) sendOn(ep *msg.Endpoint, hdrBuf *proc.Buffer, dst, tag int, buf *proc.Buffer) error {
 	var hdr [headerBytes]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(tag))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(buf.Bytes))
-	if err := r.hdrBuf.Write(0, hdr[:]); err != nil {
+	if err := hdrBuf.Write(0, hdr[:]); err != nil {
 		return err
 	}
-	if _, err := ep.Send(r.hdrBuf, msg.Eager); err != nil {
+	if _, err := ep.Send(hdrBuf, msg.Eager); err != nil {
 		return fmt.Errorf("mpi: header to rank %d: %w", dst, err)
 	}
 	if _, err := ep.Send(buf, msg.Auto); err != nil {
@@ -438,19 +427,7 @@ func (r *Rank) sendDetached(dst, tag int, buf *proc.Buffer) error {
 		return err
 	}
 	defer func() { _ = r.proc.Free(hdrBuf) }()
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(tag))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(buf.Bytes))
-	if err := hdrBuf.Write(0, hdr[:]); err != nil {
-		return err
-	}
-	if _, err := ep.Send(hdrBuf, msg.Eager); err != nil {
-		return fmt.Errorf("mpi: header to rank %d: %w", dst, err)
-	}
-	if _, err := ep.Send(buf, msg.Auto); err != nil {
-		return fmt.Errorf("mpi: payload to rank %d: %w", dst, err)
-	}
-	return nil
+	return r.sendOn(ep, hdrBuf, dst, tag, buf)
 }
 
 // Recv receives a message with the given tag from rank src into buf and
@@ -469,35 +446,16 @@ func (r *Rank) Recv(src, tag int, buf *proc.Buffer) (int, error) {
 		}
 	}
 	for {
-		if err := r.recvHeaderInto(ep); err != nil {
-			return 0, err
-		}
-		gotTag, size, err := r.parseHeader()
+		gotTag, size, err := r.recvHeader(ep)
 		if err != nil {
 			return 0, err
 		}
 		if gotTag == tag {
-			if size > buf.Bytes {
-				return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, size, buf.Bytes)
-			}
-			n, err := ep.Recv(buf)
-			if err != nil {
-				return 0, err
-			}
-			if n != size {
-				return n, fmt.Errorf("mpi: payload %d, header said %d", n, size)
-			}
-			return n, nil
+			return r.recvPayload(ep, size, buf)
 		}
-		// Unexpected: land the payload in a fresh buffer and queue it.
-		stash, err := r.proc.Malloc(size)
-		if err != nil {
+		if err := r.stash(ep, src, gotTag, size); err != nil {
 			return 0, err
 		}
-		if _, err := ep.Recv(stash); err != nil {
-			return 0, err
-		}
-		r.unexpected[src] = append(r.unexpected[src], pending{tag: gotTag, data: stash, size: size})
 	}
 }
 
@@ -519,24 +477,52 @@ func (r *Rank) copyOut(p pending, buf *proc.Buffer) (int, error) {
 	return p.size, nil
 }
 
-func (r *Rank) recvHeaderInto(ep *msg.Endpoint) error {
+// recvHeader receives the next message header from ep into hdrRecv
+// and decodes it.
+func (r *Rank) recvHeader(ep *msg.Endpoint) (tag, size int, err error) {
 	n, err := ep.Recv(r.hdrRecv)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	if n != headerBytes {
-		return fmt.Errorf("mpi: header of %d bytes", n)
+		return 0, 0, fmt.Errorf("mpi: header of %d bytes", n)
 	}
-	return nil
-}
-
-func (r *Rank) parseHeader() (tag, size int, err error) {
 	var hdr [headerBytes]byte
 	if err := r.hdrRecv.Read(0, hdr[:]); err != nil {
 		return 0, 0, err
 	}
 	return int(binary.LittleEndian.Uint64(hdr[0:])),
 		int(binary.LittleEndian.Uint64(hdr[8:])), nil
+}
+
+// recvPayload receives the size-byte payload a matching header
+// announced into buf.
+func (r *Rank) recvPayload(ep *msg.Endpoint, size int, buf *proc.Buffer) (int, error) {
+	if size > buf.Bytes {
+		return 0, fmt.Errorf("%w: message %d, buffer %d", ErrTooSmall, size, buf.Bytes)
+	}
+	n, err := ep.Recv(buf)
+	if err != nil {
+		return 0, err
+	}
+	if n != size {
+		return n, fmt.Errorf("mpi: payload %d, header said %d", n, size)
+	}
+	return n, nil
+}
+
+// stash lands the payload of a message from src that no receive
+// matched in a fresh buffer and queues it as unexpected.
+func (r *Rank) stash(ep *msg.Endpoint, src, tag, size int) error {
+	data, err := r.proc.Malloc(size)
+	if err != nil {
+		return err
+	}
+	if _, err := ep.Recv(data); err != nil {
+		return err
+	}
+	r.unexpected[src] = append(r.unexpected[src], pending{tag: tag, data: data, size: size})
+	return nil
 }
 
 func (r *Rank) peer(other int) (*msg.Endpoint, error) {

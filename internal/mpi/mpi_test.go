@@ -5,10 +5,12 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mm"
+	"repro/internal/msg"
 	"repro/internal/proc"
 )
 
@@ -427,10 +429,69 @@ func TestAlltoall(t *testing.T) {
 	})
 }
 
+// TestAlltoallValidation checks Alltoall's argument and size rules on
+// two ranks whose send blocks are 64 bytes: a receive block too small
+// for its message is ErrTooSmall on the rank that owns it — the rank's
+// own block included — and the abort reaches the peer instead of
+// leaving it waiting.
 func TestAlltoallValidation(t *testing.T) {
-	w := world(t, 2, 2)
-	r0, _ := w.Rank(0)
-	if err := r0.Alltoall(nil, nil); err == nil {
-		t.Fatal("nil buffer sets accepted")
+	errAny := errors.New("any error")
+	cases := []struct {
+		name string
+		// recvBytes sizes rank me's receive block from rank from; nil
+		// passes no buffers at all.
+		recvBytes func(me, from int) int
+		want      [2]error // per rank; errAny accepts any error
+	}{
+		{"nil buffer sets", nil, [2]error{errAny, errAny}},
+		{"own block too small", func(me, from int) int {
+			if me == 0 && from == 0 {
+				return 32
+			}
+			return 64
+		}, [2]error{ErrTooSmall, ErrCollectiveAborted}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, w := worldOpts(t, 2, 2, WorldOptions{
+				Endpoint: msg.Options{RecvTimeout: 100 * time.Millisecond},
+			})
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range errs {
+				r, err := w.Rank(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var send, recv []*proc.Buffer
+				if tc.recvBytes != nil {
+					for j := 0; j < 2; j++ {
+						sb, err := r.Process().Malloc(64)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rb, err := r.Process().Malloc(tc.recvBytes(i, j))
+						if err != nil {
+							t.Fatal(err)
+						}
+						send, recv = append(send, sb), append(recv, rb)
+					}
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = r.Alltoall(send, recv)
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				switch want := tc.want[i]; {
+				case want == errAny && err == nil:
+					t.Errorf("rank %d: err = nil, want an error", i)
+				case want != errAny && !errors.Is(err, want):
+					t.Errorf("rank %d: err = %v, want %v", i, err, want)
+				}
+			}
+		})
 	}
 }
