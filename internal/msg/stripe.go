@@ -100,8 +100,8 @@ type StripeOptions struct {
 	// without limit.  The window is a flow-control contract — size it
 	// above the application's maximum sent-but-not-received transfer
 	// depth, like a ring depth; a transfer whose frames were window-
-	// dropped never completes and surfaces as ErrRecvTimeout.  0 selects
-	// DefaultStripeWindow; negative disables the bound (legacy).
+	// dropped never completes and surfaces as ErrRecvTimeout.  0 or
+	// negative selects DefaultStripeWindow.
 	Window int
 }
 
@@ -116,10 +116,8 @@ func (o StripeOptions) withStripeDefaults(oneCopyMax int) StripeOptions {
 	if o.PollInterval <= 0 {
 		o.PollInterval = DefaultStripePoll
 	}
-	if o.Window == 0 {
+	if o.Window <= 0 {
 		o.Window = DefaultStripeWindow
-	} else if o.Window < 0 {
-		o.Window = 0 // unbounded
 	}
 	return o
 }
@@ -385,7 +383,7 @@ type StripeReceiver struct {
 	timeout time.Duration
 
 	// window bounds how far ahead of nextDeliver the transfer-keyed
-	// maps may reach (0 = unbounded): every key in asm/done/skipped is
+	// maps may reach: every key in asm/done/skipped is
 	// < nextDeliver+window at insertion and pruned as delivery passes
 	// it, so the dedup state is O(window), not O(transfers ever sent).
 	window uint64
@@ -514,7 +512,7 @@ func (r *StripeReceiver) ingest(f []byte) {
 		r.stats.DupFrames++
 		return
 	}
-	if r.window > 0 && xfer >= r.nextDeliver+r.window {
+	if xfer >= r.nextDeliver+r.window {
 		// Beyond the sliding window: accepting the frame would let the
 		// transfer maps grow without bound when the application stops
 		// draining.  The sender violated the window contract (more
